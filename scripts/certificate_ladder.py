@@ -9,7 +9,7 @@ the table shows the cap together with the bound values bracketing it.
 """
 
 import argparse
-from decimal import Decimal, localcontext
+from decimal import Decimal
 
 from fal_spectrum import max_augmentations_below, vd_lower_bound
 from fal_spectrum.numerics import PrecisionContext, v_oct
@@ -23,8 +23,7 @@ def main(argv=None) -> int:
 
     ctx = PrecisionContext(args.digits)
     print(f"{'threshold':>12}  {'max a':>8}  {'bound(a)':>12}  {'bound(a+1)':>12}")
-    with localcontext() as c:
-        c.prec = ctx.working_prec
+    with ctx.working():
         voct = v_oct(ctx)
         for i in range(args.steps):
             threshold = voct * (1 + Decimal(i) / args.steps)

@@ -12,16 +12,15 @@ records how close the recipe's density lands.
 import argparse
 import csv
 import sys
-from decimal import Decimal, localcontext
+from decimal import Decimal
 
-from fal_spectrum import BaseLink, ExactVolume, approximate_vd, builtin_catalog
+from fal_spectrum import BaseLink, ExactVolume, Recipe, approximate_vd, builtin_catalog
 from fal_spectrum.numerics import PrecisionContext, ten_v_tet, two_v_oct, v_tet
 
 
 def near_ceiling_link(ctx: PrecisionContext) -> BaseLink:
     # vd_mod = (49*v_tet + (v_tet - 5e-6)) / 5 = 10*v_tet - 1e-6
-    with localcontext() as c:
-        c.prec = ctx.working_prec
+    with ctx.working():
         rem = v_tet(ctx) - Decimal("0.000005")
     return BaseLink(
         name="Ceil",
@@ -29,6 +28,30 @@ def near_ceiling_link(ctx: PrecisionContext) -> BaseLink:
         augmentations=6,
         note="synthetic link just below the unattainable ceiling",
     )
+
+
+def sweep_targets(ctx: PrecisionContext, count: int, margin: Decimal) -> list[Decimal]:
+    with ctx.working():
+        lo = two_v_oct(ctx) + margin
+        hi = ten_v_tet(ctx) - margin
+        step = (hi - lo) / (count - 1)
+        return [lo + i * step for i in range(count)]
+
+
+def sweep(ctx: PrecisionContext, count: int, eps: Decimal, margin: Decimal) -> list[tuple[Decimal, Recipe]]:
+    """(target, recipe) for each target, anchored on L41 and the ceiling link."""
+    l41 = builtin_catalog()["L41"]
+    ceiling = near_ceiling_link(ctx)
+    return [(t, approximate_vd(t, l41, ceiling, eps, ctx)) for t in sweep_targets(ctx, count, margin)]
+
+
+def write_csv(results, handle) -> None:
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(["target", "k", "l", "m", "achieved_vd", "error"])
+    for target, recipe in results:
+        writer.writerow(
+            [target, recipe.k, recipe.l, recipe.m, recipe.achieved_vd.evaluated, recipe.error]
+        )
 
 
 def main(argv=None) -> int:
@@ -40,29 +63,14 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="CSV path (stdout if omitted)")
     args = parser.parse_args(argv)
 
-    ctx = PrecisionContext(args.digits)
-    l41 = builtin_catalog()["L41"]
-    ceiling = near_ceiling_link(ctx)
-    with localcontext() as c:
-        c.prec = ctx.working_prec
-        lo = two_v_oct(ctx) + args.margin
-        hi = ten_v_tet(ctx) - args.margin
-        step = (hi - lo) / (args.targets - 1)
-        targets = [lo + i * step for i in range(args.targets)]
-
-    handle = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(["target", "k", "l", "m", "achieved_vd", "error"])
-    worst = Decimal(0)
-    for target in targets:
-        recipe = approximate_vd(target, l41, ceiling, args.eps, ctx)
-        worst = max(worst, recipe.error)
-        writer.writerow(
-            [target, recipe.k, recipe.l, recipe.m, recipe.achieved_vd.evaluated, recipe.error]
-        )
-    if handle is not sys.stdout:
-        handle.close()
-        print(f"{args.targets} targets swept, worst error {worst}", file=sys.stderr)
+    results = sweep(PrecisionContext(args.digits), args.targets, args.eps, args.margin)
+    if args.out is None:
+        write_csv(results, sys.stdout)
+        return 0
+    with open(args.out, "w", newline="", encoding="utf-8") as handle:
+        write_csv(results, handle)
+    worst = max((recipe.error for _, recipe in results), default=Decimal(0))
+    print(f"{args.targets} targets swept, worst error {worst}", file=sys.stderr)
     return 0
 
 

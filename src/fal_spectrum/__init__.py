@@ -8,7 +8,6 @@ thresholds in the discrete window [v_oct, 2*v_oct).
 """
 
 from .approx import (
-    Convergent,
     Recipe,
     alpha_for_target,
     approximate_vd,
@@ -42,7 +41,6 @@ from .calculus import (
     vd,
     vd_mod,
     volume,
-    weighted_average_vd_mod,
 )
 from .catalog import (
     BaseLink,
@@ -65,7 +63,6 @@ from .errors import (
     TargetRangeError,
 )
 from .numerics import (
-    BigDecimal,
     PrecisionContext,
     lobachevsky,
     pi,

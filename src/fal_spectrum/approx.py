@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 
 from .calculus import (
@@ -42,7 +42,6 @@ from .errors import CapExceededError, DegeneratePairError, DomainError, TargetRa
 from .numerics import PrecisionContext
 
 __all__ = [
-    "Convergent",
     "DEFAULT_MAX_DENOMINATOR",
     "Recipe",
     "alpha_for_target",
@@ -51,9 +50,6 @@ __all__ = [
     "best_rational_approximations",
     "target_ratio",
 ]
-
-#: Convergents are plain fractions in lowest terms.
-Convergent = Fraction
 
 DEFAULT_MAX_DENOMINATOR = 10**9
 
@@ -187,8 +183,7 @@ def approximate_vd_mod(
     if eps <= 0:
         raise DomainError(f"tolerance must be positive, got {eps}")
     tol = ctx.comparison_tolerance
-    with localcontext() as dec:
-        dec.prec = ctx.working_prec
+    with ctx.working():
         v1 = vd_mod(self_sum(link1, 1), ctx)
         v2 = vd_mod(self_sum(link2, 1), ctx)
         err1 = abs(v1.evaluated - target)
@@ -246,8 +241,7 @@ def approximate_vd(
     eps = _as_decimal(eps)
     if eps <= 0:
         raise DomainError(f"tolerance must be positive, got {eps}")
-    with localcontext() as dec:
-        dec.prec = ctx.working_prec
+    with ctx.working():
         half = eps / 2
         base = approximate_vd_mod(target, link1, link2, half, ctx, max_denominator)
         core = base.composition

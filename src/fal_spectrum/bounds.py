@@ -1,4 +1,5 @@
-"""Discreteness-side machinery: volume bounds, certificates, window classes.
+"""Discreteness-side machinery: volume bounds, certificates, window classes
+and the budgeted spectrum scan.
 
 Cutting a fully augmented link complement along its reflection surface
 leaves two pieces with totally geodesic boundary and Euler characteristic
@@ -7,15 +8,20 @@ bounds the total volume below by 2*(a-1)*v_oct and the density by
 2*v_oct*(a-1)/a.  That bound increases with a, which turns any density
 threshold below 2*v_oct into a cap on the augmentation count: the
 certificates issued here state that cap.
+
+``spectrum_scan`` lists every composition whose modified augmentation
+count fits a budget.  One iterative walk yields the multisets, so its
+depth does not grow with the catalog, and the scan stops at the first
+multiset past its row cap: a refusal costs O(cap), not the full count.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
+from itertools import islice
 
 from . import numerics
 from .calculus import DensityValue, augmentations, composition, format_recipe, modified_augmentations, vd, vd_mod
@@ -70,18 +76,16 @@ def euler_characteristic(a: int) -> int:
 def miyamoto_volume_lower_bound(a: int, ctx: PrecisionContext) -> Decimal:
     """2*(a-1)*v_oct, attained exactly by octahedral decompositions."""
     _check_augmentations(a)
-    voct, _ = numerics._constants_raw(ctx.digits)
-    with localcontext() as c:
-        c.prec = ctx.working_prec
+    voct, _ = numerics.raw_constants(ctx)
+    with ctx.working():
         return numerics.round_to(2 * (a - 1) * voct, ctx)
 
 
 def vd_lower_bound(a: int, ctx: PrecisionContext) -> Decimal:
     """2*v_oct*(a-1)/a; strictly increasing in a with supremum 2*v_oct."""
     _check_augmentations(a)
-    voct, _ = numerics._constants_raw(ctx.digits)
-    with localcontext() as c:
-        c.prec = ctx.working_prec
+    voct, _ = numerics.raw_constants(ctx)
+    with ctx.working():
         return numerics.round_to(2 * voct * (a - 1) / a, ctx)
 
 
@@ -110,7 +114,7 @@ def _sign_against(parts, oct_coeff: int, tet_coeff: int, ctx: PrecisionContext) 
         return 0 if not (d_oct or d_tet or d_rem) else 1
     if d_oct <= 0 and d_tet <= 0 and d_rem <= 0:
         return -1
-    value = numerics.combination(d_oct, d_tet, d_rem, ctx, rounded=False)
+    value = numerics.combination(d_oct, d_tet, d_rem, ctx)
     if abs(value) <= ctx.comparison_tolerance:
         return 0
     return 1 if value > 0 else -1
@@ -146,10 +150,8 @@ def max_augmentations_below(density, ctx: PrecisionContext) -> Certificate:
         raise DomainError(
             "threshold reaches the dense window at 2*v_oct; no finite certificate exists there"
         )
-    voct, _ = numerics._constants_raw(ctx.digits)
-    with localcontext() as c:
-        c.prec = ctx.working_prec
-        evaluated = numerics.combination(*parts, ctx, rounded=False)
+    voct, _ = numerics.raw_constants(ctx)
+    evaluated = numerics.combination(*parts, ctx)
     two_voct = 2 * Fraction(voct)
     target = Fraction(evaluated) + Fraction(ctx.comparison_tolerance)
     if target >= two_voct:
@@ -183,18 +185,25 @@ class ScanRow:
     vd_mod: DensityValue
 
 
-def _count_multisets(atildes: tuple[int, ...], budget: int) -> int:
-    """Number of multiplicity assignments with sum k_i*atilde_i <= budget
-    (including the empty one)."""
+def _multisets(catalog: Catalog, budget: int):
+    """Yield each nonempty multiset with sum k*atilde <= budget once, as a
+    tuple of (link, k) parts with k >= 1.
 
-    @lru_cache(maxsize=None)
-    def walk(index: int, remaining: int) -> int:
-        if index == len(atildes):
-            return 1
-        step = atildes[index]
-        return sum(walk(index + 1, remaining - k * step) for k in range(remaining // step + 1))
-
-    return walk(0, budget)
+    Depth-first over an explicit stack: a multiset extends only with links
+    after its last part, taken in increasing atilde so the first link that
+    no longer fits ends the extension."""
+    links = sorted(catalog, key=lambda link: link.atilde)
+    stack = [((), 0, budget)]
+    while stack:
+        parts, start, remaining = stack.pop()
+        for index in range(start, len(links)):
+            link = links[index]
+            if link.atilde > remaining:
+                break
+            for k in range(1, remaining // link.atilde + 1):
+                extended = parts + ((link, k),)
+                yield extended
+                stack.append((extended, index + 1, remaining - k * link.atilde))
 
 
 def spectrum_scan(
@@ -204,42 +213,28 @@ def spectrum_scan(
     max_rows: int = DEFAULT_SCAN_CAP,
 ) -> list[ScanRow]:
     """All compositions over the catalog with total atilde <= budget,
-    one row each, sorted by vd (ties broken by recipe string)."""
+    one row each, sorted by vd (ties broken by recipe string).
+
+    Raises CapExceededError as soon as a row past ``max_rows`` turns up,
+    before any row is evaluated."""
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
         raise DomainError(f"budget must be a positive integer, got {budget!r}")
-    links = list(catalog)
-    atildes = tuple(link.atilde for link in links)
-    total = _count_multisets(atildes, budget) - 1
-    if total > max_rows:
+    multisets = list(islice(_multisets(catalog, budget), max_rows + 1))
+    if len(multisets) > max_rows:
         raise CapExceededError(
-            f"scan with budget {budget} would emit {total} rows, above the cap of {max_rows}"
+            f"scan with budget {budget} would emit more than {max_rows} rows (the cap)"
         )
-
-    rows: list[ScanRow] = []
-    chosen: list[tuple] = []
-
-    def walk(index: int, remaining: int) -> None:
-        if index == len(links):
-            if chosen:
-                c = composition(dict(chosen))
-                rows.append(
-                    ScanRow(
-                        recipe=format_recipe(c),
-                        a=augmentations(c),
-                        atilde=modified_augmentations(c),
-                        vd=vd(c, ctx),
-                        vd_mod=vd_mod(c, ctx),
-                    )
-                )
-            return
-        link = links[index]
-        for k in range(remaining // link.atilde + 1):
-            if k:
-                chosen.append((link, k))
-            walk(index + 1, remaining - k * link.atilde)
-            if k:
-                chosen.pop()
-
-    walk(0, budget)
+    rows = []
+    for parts in multisets:
+        c = composition(parts)
+        rows.append(
+            ScanRow(
+                recipe=format_recipe(c),
+                a=augmentations(c),
+                atilde=modified_augmentations(c),
+                vd=vd(c, ctx),
+                vd_mod=vd_mod(c, ctx),
+            )
+        )
     rows.sort(key=lambda row: (row.vd.evaluated, row.recipe))
     return rows

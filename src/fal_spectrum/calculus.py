@@ -20,7 +20,7 @@ the inputs are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -45,7 +45,6 @@ __all__ = [
     "vd",
     "vd_mod",
     "volume",
-    "weighted_average_vd_mod",
 ]
 
 
@@ -84,8 +83,6 @@ def belted_sum(x: Composition, y: Composition) -> Composition:
 
 def self_sum(link: BaseLink, k: int) -> Composition:
     """k copies of one link."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise DomainError(f"self-sum count must be a positive integer, got {k!r}")
     return composition({link: k})
 
 
@@ -143,14 +140,13 @@ def exact_combo_string(
     finite decimal form and context-rounded otherwise."""
     rem = numerics.exact_decimal_string(remainder)
     if rem is None:
-        rem = str(numerics.fraction_to_decimal(remainder, ctx))
+        rem = str(numerics.round_to(numerics.fraction_to_decimal(remainder, ctx), ctx))
     return f"{c_oct}*voct+{c_tet}*vtet+{rem}"
 
 
 def _density(c: Composition, denominator: int, ctx: PrecisionContext) -> DensityValue:
     vol = volume(c)
-    with localcontext() as dec:
-        dec.prec = ctx.working_prec
+    with ctx.working():
         evaluated = vol.evaluate(ctx, rounded=False) / denominator
     return DensityValue(vol, denominator, numerics.round_to(evaluated, ctx))
 
@@ -165,28 +161,12 @@ def vd_mod(c: Composition, ctx: PrecisionContext) -> DensityValue:
     return _density(c, modified_augmentations(c), ctx)
 
 
-def weighted_average_vd_mod(c: Composition, ctx: PrecisionContext) -> DensityValue:
-    """vd_mod computed the other way: the per-part modified densities averaged
-    with weights k_i * (a_i - 1).  Must agree exactly with vd_mod."""
-    weight_total = 0
-    acc = ExactVolume()
-    for link, k in c.parts:
-        weight = k * link.atilde
-        weight_total += weight
-        acc = acc + link.volume * Fraction(weight, link.atilde)
-    with localcontext() as dec:
-        dec.prec = ctx.working_prec
-        evaluated = acc.evaluate(ctx, rounded=False) / weight_total
-    return DensityValue(acc, weight_total, numerics.round_to(evaluated, ctx))
-
-
 def replication_error(c: Composition, m: int, ctx: PrecisionContext) -> Decimal:
     """Exact gap vd_mod(c^(m)) - vd(c^(m)) = vd_mod(c) / (m * (a-1) + 1)."""
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise DomainError(f"replication count must be a positive integer, got {m!r}")
     atilde = modified_augmentations(c)
-    with localcontext() as dec:
-        dec.prec = ctx.working_prec
+    with ctx.working():
         gap = volume(c).evaluate(ctx, rounded=False) / (atilde * (m * atilde + 1))
     return numerics.round_to(gap, ctx)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation, localcontext
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Iterator
 
@@ -109,7 +109,8 @@ class ExactVolume:
     __rmul__ = __mul__
 
     def evaluate(self, ctx: PrecisionContext, *, rounded: bool = True) -> Decimal:
-        return numerics.combination(self.c_oct, self.c_tet, self.remainder, ctx, rounded=rounded)
+        value = numerics.combination(self.c_oct, self.c_tet, self.remainder, ctx)
+        return numerics.round_to(value, ctx) if rounded else value
 
     def remainder_decimal_string(self) -> str:
         text = numerics.exact_decimal_string(self.remainder)
@@ -283,11 +284,10 @@ def validate_entry(link: BaseLink, ctx: PrecisionContext) -> list[Diagnostic]:
     are allowed so the search engine can be exercised across the whole
     window.
     """
-    voct, vtet = numerics._constants_raw(ctx.digits)
+    voct, vtet = numerics.raw_constants(ctx)
     tol = ctx.comparison_tolerance
     out: list[Diagnostic] = []
-    with localcontext() as c:
-        c.prec = ctx.working_prec
+    with ctx.working():
         vol = link.volume.evaluate(ctx, rounded=False)
         density = vol / link.augmentations
         if density < voct - tol:

@@ -2,9 +2,10 @@
 
 Subcommands: constants, catalog list, validate, density, approximate,
 bounds, certify, classify, scan.  Exit codes: 0 success, 1 domain errors
-(bad catalog, out-of-range targets), 2 usage errors.  Data goes to the
-output stream, diagnostics to stderr, and identical invocations produce
-byte-identical output.
+(bad catalog, out-of-range targets, a scan past its row cap, an output
+file that cannot be written), 2 usage errors.  A domain error prints one
+``error:`` line on stderr.  Data goes to the output stream, diagnostics
+to stderr, and identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -325,8 +326,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write output {args.output!r}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_DOMAIN
     else:
         sys.stdout.write(text)
     return EXIT_OK

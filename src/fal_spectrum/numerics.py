@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -42,7 +42,6 @@ from math import comb
 from .errors import ConfigurationError, DomainError
 
 __all__ = [
-    "BigDecimal",
     "DEFAULT_DIGITS",
     "GUARD_DIGITS",
     "MIN_DIGITS",
@@ -52,16 +51,13 @@ __all__ = [
     "fraction_to_decimal",
     "lobachevsky",
     "pi",
+    "raw_constants",
     "round_to",
     "ten_v_tet",
     "two_v_oct",
     "v_oct",
     "v_tet",
 ]
-
-#: All evaluated quantities are plain ``decimal.Decimal`` values; they
-#: round-trip losslessly through ``str``.
-BigDecimal = Decimal
 
 DEFAULT_DIGITS = 30
 MIN_DIGITS = 20
@@ -100,11 +96,22 @@ class PrecisionContext:
     def comparison_tolerance(self) -> Decimal:
         return Decimal(1).scaleb(GUARD_DIGITS - self.digits)
 
+    def working(self):
+        """Decimal context manager running arithmetic at ``working_prec``."""
+        return localcontext(_context(self.working_prec))
+
+
+@lru_cache(maxsize=None)
+def _context(prec: int) -> Context:
+    """Template for ``localcontext`` (which copies it): the decimal defaults
+    at ``prec``, so arithmetic inside never depends on the caller's context.
+    localcontext(prec=...) would need Python 3.11."""
+    return Context(prec=prec)
+
 
 def round_to(value: Decimal, ctx: PrecisionContext) -> Decimal:
     """Round ``value`` to the context's number of significant digits."""
-    with localcontext() as c:
-        c.prec = ctx.digits
+    with localcontext(_context(ctx.digits)):
         return +value
 
 
@@ -151,11 +158,9 @@ def _pi_at(prec: int) -> Decimal:
             k += 1
         return total
 
-    with localcontext() as c:
-        c.prec = prec + 10
+    with localcontext(_context(prec + 10)):
         raw = 16 * atan_inv(5) - 4 * atan_inv(239)
-    with localcontext() as c:
-        c.prec = prec
+    with localcontext(_context(prec)):
         return +raw
 
 
@@ -168,10 +173,8 @@ def pi(ctx: PrecisionContext) -> Decimal:
 
 def _lobachevsky_raw(theta: Decimal, ctx: PrecisionContext) -> Decimal:
     """Lambda(theta) at working precision, without the final rounding."""
-    work = ctx.working_prec
-    with localcontext() as c:
-        c.prec = work
-        pi_w = _pi_at(work)
+    with ctx.working():
+        pi_w = _pi_at(ctx.working_prec)
         if theta <= 0 or theta > pi_w / 2 + ctx.comparison_tolerance:
             raise DomainError(f"angle must satisfy 0 < theta <= pi/2, got {theta}")
         two_theta = 2 * theta
@@ -214,13 +217,11 @@ def lobachevsky(theta: Decimal, ctx: PrecisionContext) -> Decimal:
 
 
 @lru_cache(maxsize=None)
-def _constants_raw(digits: int) -> tuple[Decimal, Decimal]:
-    """(v_oct, v_tet) at working precision for ``digits``."""
-    ctx = PrecisionContext(digits)
-    work = ctx.working_prec
-    with localcontext() as c:
-        c.prec = work
-        pi_w = _pi_at(work)
+def raw_constants(ctx: PrecisionContext) -> tuple[Decimal, Decimal]:
+    """(v_oct, v_tet) at working precision, unrounded, for arithmetic that
+    rounds once at the end."""
+    with ctx.working():
+        pi_w = _pi_at(ctx.working_prec)
         voct = 8 * _lobachevsky_raw(pi_w / 4, ctx)
         vtet = 2 * _lobachevsky_raw(pi_w / 6, ctx)
     return voct, vtet
@@ -228,34 +229,32 @@ def _constants_raw(digits: int) -> tuple[Decimal, Decimal]:
 
 def v_oct(ctx: PrecisionContext) -> Decimal:
     """Volume of the regular ideal octahedron, 8*Lambda(pi/4)."""
-    return round_to(_constants_raw(ctx.digits)[0], ctx)
+    return round_to(raw_constants(ctx)[0], ctx)
 
 
 def v_tet(ctx: PrecisionContext) -> Decimal:
     """Volume of the regular ideal tetrahedron, 2*Lambda(pi/6)."""
-    return round_to(_constants_raw(ctx.digits)[1], ctx)
+    return round_to(raw_constants(ctx)[1], ctx)
 
 
 def two_v_oct(ctx: PrecisionContext) -> Decimal:
     """Lower edge of the dense density window."""
-    voct, _ = _constants_raw(ctx.digits)
-    with localcontext() as c:
-        c.prec = ctx.working_prec
+    voct, _ = raw_constants(ctx)
+    with ctx.working():
         return round_to(2 * voct, ctx)
 
 
 def ten_v_tet(ctx: PrecisionContext) -> Decimal:
     """Unattainable upper edge of the density spectrum."""
-    _, vtet = _constants_raw(ctx.digits)
-    with localcontext() as c:
-        c.prec = ctx.working_prec
+    _, vtet = raw_constants(ctx)
+    with ctx.working():
         return round_to(10 * vtet, ctx)
 
 
 def clear_caches() -> None:
     """Drop memoized constants (used by timing tests)."""
     _pi_at.cache_clear()
-    _constants_raw.cache_clear()
+    raw_constants.cache_clear()
     with _bernoulli_lock:
         del _bernoulli[1:]
 
@@ -263,31 +262,22 @@ def clear_caches() -> None:
 # ---------------------------------------------------------------------------
 # Helpers shared by the exact-volume layer
 
-def fraction_to_decimal(value: Fraction, ctx: PrecisionContext, *, rounded: bool = True) -> Decimal:
-    with localcontext() as c:
-        c.prec = ctx.working_prec
-        result = Decimal(value.numerator) / Decimal(value.denominator)
-    return round_to(result, ctx) if rounded else result
+def fraction_to_decimal(value: Fraction, ctx: PrecisionContext) -> Decimal:
+    """``value`` at working precision, unrounded."""
+    with ctx.working():
+        return Decimal(value.numerator) / Decimal(value.denominator)
 
 
-def combination(
-    c_oct: Fraction,
-    c_tet: Fraction,
-    remainder: Fraction,
-    ctx: PrecisionContext,
-    *,
-    rounded: bool = True,
-) -> Decimal:
-    """Evaluate c_oct*v_oct + c_tet*v_tet + remainder (coefficients may be signed)."""
-    voct, vtet = _constants_raw(ctx.digits)
-    with localcontext() as c:
-        c.prec = ctx.working_prec
-        total = (
-            fraction_to_decimal(c_oct, ctx, rounded=False) * voct
-            + fraction_to_decimal(c_tet, ctx, rounded=False) * vtet
-            + fraction_to_decimal(remainder, ctx, rounded=False)
+def combination(c_oct: Fraction, c_tet: Fraction, remainder: Fraction, ctx: PrecisionContext) -> Decimal:
+    """c_oct*v_oct + c_tet*v_tet + remainder at working precision, unrounded
+    (coefficients may be signed)."""
+    voct, vtet = raw_constants(ctx)
+    with ctx.working():
+        return (
+            fraction_to_decimal(c_oct, ctx) * voct
+            + fraction_to_decimal(c_tet, ctx) * vtet
+            + fraction_to_decimal(remainder, ctx)
         )
-    return round_to(total, ctx) if rounded else total
 
 
 def exact_decimal_string(value: Fraction) -> str | None:

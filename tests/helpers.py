@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from decimal import Decimal, localcontext
+from decimal import Decimal
 
 from fal_spectrum import BaseLink, ExactVolume
 from fal_spectrum.numerics import PrecisionContext, _pi_at
@@ -16,6 +16,5 @@ def make_link(name, c_oct=0, c_tet=0, remainder="0", a=2, note="synthetic test l
 def pi_angle(ctx: PrecisionContext, numerator: int, denominator: int) -> Decimal:
     """numerator*pi/denominator formed at working precision, so the angle
     itself does not eat into the comparison budget."""
-    with localcontext() as c:
-        c.prec = ctx.working_prec
+    with ctx.working():
         return _pi_at(ctx.working_prec) * numerator / denominator

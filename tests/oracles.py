@@ -3,7 +3,9 @@
 The quadrature oracle integrates -log|2 sin t| directly with mpmath's
 tanh-sinh rule (which absorbs the endpoint log singularity); it shares
 no code or series with the package's evaluation path.  The rational
-oracle searches every denominator by brute force.
+oracle searches every denominator by brute force.  The weighted average
+recomputes vd_mod per part, and the row counter counts scan rows by a
+knapsack table instead of walking the multisets.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
+
+from fal_spectrum import Composition, DensityValue, ExactVolume
+from fal_spectrum.numerics import PrecisionContext, round_to
 
 
 def _mpf_to_decimal(value, digits: int) -> Decimal:
@@ -55,3 +60,29 @@ def best_error_upto(r: Fraction, max_denominator: int) -> Fraction:
                 best = err
     assert best is not None
     return best
+
+
+def weighted_average_vd_mod(c: Composition, ctx: PrecisionContext) -> DensityValue:
+    """vd_mod computed the other way: the per-part modified densities averaged
+    with weights k_i * (a_i - 1).  Must agree exactly with vd_mod."""
+    weight_total = 0
+    acc = ExactVolume()
+    for link, k in c.parts:
+        weight = k * link.atilde
+        weight_total += weight
+        acc = acc + link.volume * Fraction(weight, link.atilde)
+    with ctx.working():
+        evaluated = acc.evaluate(ctx, rounded=False) / weight_total
+    return DensityValue(acc, weight_total, round_to(evaluated, ctx))
+
+
+def count_scan_rows(atildes, budget: int) -> int:
+    """Nonempty multiplicity assignments with sum k_i*atilde_i <= budget.
+
+    ways[b] counts the assignments summing to exactly b; adding one part
+    size at a time is the unbounded-knapsack recurrence."""
+    ways = [1] + [0] * budget
+    for step in atildes:
+        for total in range(step, budget + 1):
+            ways[total] += ways[total - step]
+    return sum(ways) - 1

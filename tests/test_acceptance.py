@@ -5,17 +5,18 @@ criteria execute.  Everything here is deterministic: random draws come
 from fixed seeds and all arithmetic is decimal or rational.
 """
 
+import io
 import random
+import sys
 import time
 from contextlib import contextmanager
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 from fal_spectrum import (
-    BaseLink,
     ExactVolume,
     WindowClass,
-    approximate_vd,
     augmentations,
     best_rational_approximations,
     builtin_catalog,
@@ -29,13 +30,15 @@ from fal_spectrum import (
     vd_lower_bound,
     vd_mod,
     self_sum,
-    weighted_average_vd_mod,
 )
 from fal_spectrum import numerics
 from fal_spectrum.cli import main
 from fal_spectrum.numerics import PrecisionContext, ten_v_tet, two_v_oct, v_oct, v_tet
 from helpers import make_link
-from oracles import best_error_upto, quadrature_v_oct, quadrature_v_tet
+from oracles import best_error_upto, quadrature_v_oct, quadrature_v_tet, weighted_average_vd_mod
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+import density_sweep  # noqa: E402
 
 CTX = PrecisionContext(30)
 TOL = Decimal("1e-25")
@@ -72,43 +75,13 @@ def _random_composition(rng, pool):
     return composition({link: rng.randint(1, 20) for link in chosen})
 
 
-def _near_ceiling_link():
-    # vd_mod = (49*v_tet + (v_tet - 5e-6)) / 5 = 10*v_tet - 1e-6
-    with localcontext() as c:
-        c.prec = CTX.working_prec
-        rem = v_tet(CTX) - Decimal("0.000005")
-    return BaseLink(
-        name="Ceil",
-        volume=ExactVolume.from_fields("0", "49", str(rem)),
-        augmentations=6,
-        note="synthetic link just below the unattainable ceiling",
-    )
-
-
-def _sweep_targets():
-    with localcontext() as c:
-        c.prec = CTX.working_prec
-        lo = two_v_oct(CTX) + Decimal("0.01")
-        hi = ten_v_tet(CTX) - Decimal("0.01")
-        step = (hi - lo) / 99
-        return [lo + i * step for i in range(100)]
-
-
 def _run_density_sweep():
-    """The full criterion-6 sweep; returns (report_text, recipes)."""
-    l41 = builtin_catalog()["L41"]
-    ceiling = _near_ceiling_link()
-    eps = Decimal("1e-6")
-    lines = []
-    recipes = []
-    for target in _sweep_targets():
-        recipe = approximate_vd(target, l41, ceiling, eps, CTX)
-        recipes.append((target, recipe))
-        lines.append(
-            f"{target},{recipe.k},{recipe.l},{recipe.m},"
-            f"{recipe.achieved_vd.evaluated},{recipe.error}"
-        )
-    return "\n".join(lines) + "\n", recipes
+    """The full criterion-6 sweep, as ``scripts/density_sweep.py`` runs it
+    with its defaults; returns (csv_report, recipes)."""
+    recipes = density_sweep.sweep(CTX, 100, Decimal("1e-6"), Decimal("0.01"))
+    report = io.StringIO()
+    density_sweep.write_csv(recipes, report)
+    return report.getvalue(), recipes
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +179,7 @@ def test_criterion_06_density_sweep():
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"sweep took {elapsed:.3f}s"
         l41 = builtin_catalog()["L41"]
-        ceiling = _near_ceiling_link()
+        ceiling = density_sweep.near_ceiling_link(CTX)
         for target, recipe in recipes:
             assert recipe.error < Decimal("1e-6")
             assert abs(recipe.achieved_vd.evaluated - target) < Decimal("1e-6")
@@ -220,8 +193,7 @@ def test_criterion_06_density_sweep():
 
 def test_criterion_07_discreteness_certificates():
     with criterion(7, "certificates at named thresholds plus 1000 sampled soundness checks"):
-        with localcontext() as c:
-            c.prec = CTX.working_prec
+        with CTX.working():
             voct = v_oct(CTX)
             named = [
                 (voct, 2),

@@ -2,7 +2,7 @@
 end-to-end recipe search."""
 
 import random
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -152,8 +152,7 @@ def test_equal_weights_midpoint_is_exact(ctx):
     b = make_link("B", remainder="16", a=3)  # vd_mod = 8
     v1 = vd_mod(self_sum(a, 1), ctx).evaluated
     v2 = vd_mod(self_sum(b, 1), ctx).evaluated
-    with localcontext() as c:
-        c.prec = ctx.working_prec
+    with ctx.working():
         midpoint = (v1 + v2) / 2
     recipe = approximate_vd_mod(midpoint, a, b, Decimal("1e-20"), ctx)
     assert (recipe.k, recipe.l) == (1, 1)

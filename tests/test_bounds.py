@@ -1,7 +1,8 @@
 """Euler counts, Miyamoto-derived bounds, certificates, window classes, scan."""
 
 import random
-from decimal import Decimal, localcontext
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -22,8 +23,10 @@ from fal_spectrum import (
     vd_lower_bound,
     self_sum,
 )
+from fal_spectrum import bounds
 from fal_spectrum.numerics import ten_v_tet, two_v_oct, v_oct
 from helpers import make_link
+from oracles import count_scan_rows
 
 
 @pytest.mark.parametrize("a,chi", [(2, -1), (3, -2), (10, -9), (1000, -999)])
@@ -46,15 +49,13 @@ def test_miyamoto_bound_values(ctx, l41):
     assert str(miyamoto_volume_lower_bound(2, ctx)).startswith("7.327724753")
     # the builtin figure-eight attains the bound exactly
     assert l41.volume.evaluate(ctx) == miyamoto_volume_lower_bound(2, ctx)
-    with localcontext() as c:
-        c.prec = ctx.working_prec
+    with ctx.working():
         assert abs(miyamoto_volume_lower_bound(3, ctx) - 2 * two_v_oct(ctx)) <= ctx.comparison_tolerance
 
 
 def test_vd_lower_bound_values(ctx):
     assert vd_lower_bound(2, ctx) == v_oct(ctx)
-    with localcontext() as c:
-        c.prec = ctx.working_prec
+    with ctx.working():
         expected = 3 * v_oct(ctx) / 2
         assert abs(vd_lower_bound(4, ctx) - expected) <= ctx.comparison_tolerance
 
@@ -70,8 +71,7 @@ def test_vd_lower_bound_monotone_below_two_voct(ctx):
 # certificates
 
 def test_certificates_at_exact_thresholds(ctx):
-    with localcontext() as c:
-        c.prec = ctx.working_prec
+    with ctx.working():
         voct = v_oct(ctx)
         assert max_augmentations_below(voct, ctx).max_augmentations == 2
         assert max_augmentations_below(Decimal("1.5") * voct, ctx).max_augmentations == 4
@@ -104,8 +104,7 @@ def test_certificate_exact_input_near_boundary(ctx):
 
 def test_certificate_soundness_and_tightness_sampled(ctx):
     rng = random.Random(42)
-    with localcontext() as c:
-        c.prec = ctx.working_prec
+    with ctx.working():
         voct = v_oct(ctx)
         for _ in range(200):
             d = voct * (1 + Decimal(rng.randrange(0, 10**9)) / Decimal(10**9))
@@ -179,8 +178,7 @@ def test_scan_rows_sorted_and_bounded(ctx):
     assert all(row.vd.evaluated >= vd_lower_bound(row.a, ctx) - ctx.comparison_tolerance for row in rows)
     # below 2*v_oct the values stay isolated: every gap at least the one
     # between the last two rows, 2*v_oct/(20*21)
-    with localcontext() as c:
-        c.prec = ctx.working_prec
+    with ctx.working():
         floor_gap = two_v_oct(ctx) / (20 * 21) - ctx.comparison_tolerance
     gaps = [b - a for a, b in zip(densities, densities[1:])]
     assert all(gap >= floor_gap for gap in gaps)
@@ -201,3 +199,46 @@ def test_scan_deterministic(ctx):
     first = spectrum_scan(builtin_catalog(), 12, ctx)
     second = spectrum_scan(builtin_catalog(), 12, ctx)
     assert first == second
+
+
+_SCAN_CATALOGS = {
+    "builtin": [],
+    "atilde-1-2": [make_link("P", c_oct=4, a=3)],
+    "atilde-1-2-3": [make_link("P", c_oct=4, a=3), make_link("Q", c_oct=6, a=4)],
+    "mixed": [
+        make_link("S10", remainder="50", a=6),
+        make_link("U", c_oct=5, remainder="0.125", a=3),
+        make_link("T", c_oct="7/3", c_tet="1/2", a=4),
+        make_link("W", c_tet="9/7", a=2),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCAN_CATALOGS))
+def test_scan_row_count_matches_knapsack_oracle(ctx, name):
+    cat = Catalog.from_links(_SCAN_CATALOGS[name])
+    atildes = [link.atilde for link in cat]
+    for budget in (1, 2, 3, 5, 8, 11):
+        rows = spectrum_scan(cat, budget, ctx)
+        assert len(rows) == count_scan_rows(atildes, budget)
+        assert len({row.recipe for row in rows}) == len(rows)
+        assert all(row.atilde <= budget for row in rows)
+
+
+def test_scan_of_1200_link_catalog(ctx):
+    links = [make_link(f"X{i:04d}", c_oct=2 * (2 + i % 5), a=3 + i % 5) for i in range(1200)]
+    cat = Catalog.from_links(links)
+    rows = spectrum_scan(cat, 2, ctx)
+    assert len(rows) == count_scan_rows([link.atilde for link in cat], 2) == 242
+
+
+def test_scan_refusal_is_prompt_and_builds_no_row(ctx, monkeypatch):
+    # about 1.07e10 multisets fit the budget; only cap+1 may be walked
+    cat = Catalog.from_links([make_link("A", c_oct=3, a=2), make_link("B", c_tet=9, a=2)])
+    evaluated = []
+    monkeypatch.setattr(bounds, "vd", lambda c, ctx: evaluated.append(c))
+    started = time.perf_counter()
+    with pytest.raises(CapExceededError, match="more than 100000 rows"):
+        spectrum_scan(cat, 4000, ctx)
+    assert time.perf_counter() - started < 2.0
+    assert evaluated == []

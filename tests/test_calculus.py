@@ -20,10 +20,10 @@ from fal_spectrum import (
     vd,
     vd_mod,
     volume,
-    weighted_average_vd_mod,
 )
 from fal_spectrum.numerics import two_v_oct, v_oct
 from helpers import make_link
+from oracles import weighted_average_vd_mod
 
 S50 = make_link("S", c_tet=50, a=6)
 

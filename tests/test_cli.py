@@ -240,6 +240,13 @@ def test_scan_to_file_deterministic(tmp_path, capsys):
     assert len(first.read_text().splitlines()) == 11  # header + 10 rows
 
 
+def test_unwritable_output_exits_one(capsys, tmp_path):
+    target = tmp_path / "missing" / "rows.csv"
+    code, out, err = run_cli(capsys, "scan", "--budget", "3", "--output", str(target))
+    assert code == 1 and out == ""
+    assert err == f"error: cannot write output {str(target)!r}: No such file or directory\n"
+
+
 def test_scan_cap_flag(capsys, catalog_file):
     code, _, err = run_cli(capsys, "scan", catalog_file, "--budget", "40", "--cap", "5")
     assert code == 1
