@@ -58,13 +58,17 @@ class Composition:
         return dict(self.parts)
 
 
+def _is_positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def composition(parts: Mapping[BaseLink, int] | Iterable[tuple[BaseLink, int]]) -> Composition:
     items = parts.items() if isinstance(parts, Mapping) else parts
     merged: dict[BaseLink, int] = {}
     for link, multiplicity in items:
         if not isinstance(link, BaseLink):
             raise DomainError(f"composition parts must be BaseLink, got {type(link).__name__}")
-        if not isinstance(multiplicity, int) or isinstance(multiplicity, bool) or multiplicity < 1:
+        if not _is_positive_int(multiplicity):
             raise DomainError(f"multiplicity for {link.name} must be a positive integer")
         merged[link] = merged.get(link, 0) + multiplicity
     if not merged:
@@ -88,7 +92,7 @@ def self_sum(link: BaseLink, k: int) -> Composition:
 
 def replicate(c: Composition, m: int) -> Composition:
     """m copies of the whole composition."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+    if not _is_positive_int(m):
         raise DomainError(f"replication count must be a positive integer, got {m!r}")
     return composition({link: k * m for link, k in c.parts})
 
@@ -163,7 +167,7 @@ def vd_mod(c: Composition, ctx: PrecisionContext) -> DensityValue:
 
 def replication_error(c: Composition, m: int, ctx: PrecisionContext) -> Decimal:
     """Exact gap vd_mod(c^(m)) - vd(c^(m)) = vd_mod(c) / (m * (a-1) + 1)."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+    if not _is_positive_int(m):
         raise DomainError(f"replication count must be a positive integer, got {m!r}")
     atilde = modified_augmentations(c)
     with ctx.working():

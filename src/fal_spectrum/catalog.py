@@ -167,6 +167,10 @@ class Catalog:
     """Immutable name-indexed collection of base links."""
 
     links: tuple[BaseLink, ...]
+    _by_name: dict[str, BaseLink] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_by_name", {link.name: link for link in self.links})
 
     @classmethod
     def from_links(cls, links, *, include_builtin: bool = True) -> "Catalog":
@@ -187,14 +191,14 @@ class Catalog:
         return len(self.links)
 
     def __contains__(self, name: str) -> bool:
-        return any(link.name == name for link in self.links)
+        return name in self._by_name
 
     def __getitem__(self, name: str) -> BaseLink:
-        for link in self.links:
-            if link.name == name:
-                return link
-        known = ", ".join(link.name for link in self.links)
-        raise CatalogError(f"unknown link {name!r} (catalog has: {known})")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            known = ", ".join(link.name for link in self.links)
+            raise CatalogError(f"unknown link {name!r} (catalog has: {known})") from None
 
     @property
     def names(self) -> tuple[str, ...]:

@@ -21,7 +21,19 @@ with zeta(2n) = |B_2n| * (2*pi)^(2n) / (2*(2n)!) supplied by exact
 Bernoulli numbers, which cancels the pi powers term by term.  Successive
 terms shrink by a factor of about (theta/pi)^2 <= 1/4, and zeta(2n) <=
 zeta(2) gives a proven geometric bound on the truncated tail, used as
-the stopping rule.
+the stopping rule.  The bound fixes the number of terms before the sum
+starts.
+
+The Bernoulli numbers come from the tangent numbers T_n (tan x =
+sum T_n x^(2n-1)/(2n-1)!) through
+
+    B_2n = (-1)^(n-1) * 2n * T_n / (4^n * (4^n - 1)),
+
+and T_1..T_N from Brent & Harvey's integer-only O(N^2) recurrence
+("Fast computation of Bernoulli, Tangent and Secant numbers",
+arXiv:1108.0286).  The recurrence is not incremental, so the shared
+table is built once at the length the series asks for.  The values are
+exact, so the series sums the same rationals as any other route.
 
 Everything evaluated here and elsewhere in the package is a
 ``decimal.Decimal`` carrying ``digits`` significant digits; internal
@@ -37,13 +49,13 @@ from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
 from .errors import ConfigurationError, DomainError
 
 __all__ = [
     "DEFAULT_DIGITS",
     "GUARD_DIGITS",
+    "MAX_DIGITS",
     "MIN_DIGITS",
     "PrecisionContext",
     "combination",
@@ -61,6 +73,7 @@ __all__ = [
 
 DEFAULT_DIGITS = 30
 MIN_DIGITS = 20
+MAX_DIGITS = 1000  # the cold cost of the constants grows about cubically in digits
 GUARD_DIGITS = 5
 
 # Any upper bound on zeta(2) = pi^2/6 = 1.6449... keeps the tail estimate valid.
@@ -86,6 +99,10 @@ class PrecisionContext:
         if self.digits < MIN_DIGITS:
             raise ConfigurationError(
                 f"precision must be at least {MIN_DIGITS} digits, got {self.digits}"
+            )
+        if self.digits > MAX_DIGITS:
+            raise ConfigurationError(
+                f"precision must be at most {MAX_DIGITS} digits, got {self.digits}"
             )
 
     @property
@@ -116,23 +133,39 @@ def round_to(value: Decimal, ctx: PrecisionContext) -> Decimal:
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli numbers (exact, shared, extended on demand)
+# Bernoulli numbers (exact, shared, one table per series length)
 
 _bernoulli_lock = threading.Lock()
-_bernoulli: list[Fraction] = [Fraction(1)]
+_bernoulli: list[Fraction] = []  # [B_2, B_4, ..., B_2n]; never mutated once published
 
 
-def _bernoulli_number(n: int) -> Fraction:
-    """B_n via the recurrence sum_{j<=m} C(m+1, j) B_j = 0."""
+def _tangent_numbers(count: int) -> list[int]:
+    """T_1..T_count, tan x = sum T_n x^(2n-1)/(2n-1)!, by Brent & Harvey's
+    in-place integer recurrence (arXiv:1108.0286, Algorithm TangentNumbers)."""
+    t = [1] * count
+    for k in range(1, count):
+        t[k] = k * t[k - 1]
+    for k in range(1, count):
+        prev = t[k - 1]
+        for d in range(count - k):
+            prev = t[k + d] = d * prev + (d + 2) * t[k + d]
+    return t
+
+
+def _bernoulli_table(count: int) -> list[Fraction]:
+    """[B_2, ..., B_2m] for some m >= count, B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)).
+
+    The tangent recurrence is not incremental, so a longer request rebuilds
+    the table at exactly its size and publishes the new list under the lock.
+    """
+    global _bernoulli
     with _bernoulli_lock:
-        while len(_bernoulli) <= n:
-            m = len(_bernoulli)
-            acc = Fraction(0)
-            for j, b in enumerate(_bernoulli):
-                if b:
-                    acc += comb(m + 1, j) * b
-            _bernoulli.append(-acc / (m + 1))
-        return _bernoulli[n]
+        if len(_bernoulli) < count:
+            _bernoulli = [
+                Fraction((-1) ** (n - 1) * 2 * n * t, 4**n * (4**n - 1))
+                for n, t in enumerate(_tangent_numbers(count), 1)
+            ]
+        return _bernoulli
 
 
 # ---------------------------------------------------------------------------
@@ -179,34 +212,36 @@ def _lobachevsky_raw(theta: Decimal, ctx: PrecisionContext) -> Decimal:
             raise DomainError(f"angle must satisfy 0 < theta <= pi/2, got {theta}")
         two_theta = 2 * theta
         ratio_sq = (theta / pi_w) ** 2
-        target = Decimal(1).scaleb(-(ctx.digits + 2))
+        terms = _series_terms(theta, ratio_sq, Decimal(1).scaleb(-(ctx.digits + 2)))
         total = theta * (1 - two_theta.ln())
         two_theta_sq = two_theta * two_theta
         power = Decimal(1)  # (2*theta)^(2n)
         factorial = 1  # (2n)!
-        ratio_pow = ratio_sq  # ratio_sq^n
-        n = 0
-        while True:
-            n += 1
-            if n > _MAX_SERIES_TERMS:  # pragma: no cover - defensive
-                raise ConfigurationError("Lobachevsky series failed to converge")
+        for n, b in zip(range(1, terms + 1), _bernoulli_table(terms)):
             power *= two_theta_sq
             factorial *= (2 * n - 1) * (2 * n)
-            b = _bernoulli_number(2 * n)
             total += (Decimal(abs(b.numerator)) * power * theta) / Decimal(
                 2 * factorial * b.denominator * n * (2 * n + 1)
             )
-            # tail <= zeta(2) * theta * r^(n+1) / ((n+1)(2n+3)(1-r)), r = (theta/pi)^2
-            tail = (
-                _ZETA2_UPPER
-                * theta
-                * ratio_pow
-                * ratio_sq
-                / ((n + 1) * (2 * n + 3) * (1 - ratio_sq))
-            )
-            if tail < target:
-                return total
-            ratio_pow *= ratio_sq
+        return total
+
+
+def _series_terms(theta: Decimal, ratio_sq: Decimal, target: Decimal) -> int:
+    """The first n whose proven tail bound is below ``target``:
+    tail <= zeta(2) * theta * r^(n+1) / ((n+1)(2n+3)(1-r)), r = (theta/pi)^2."""
+    ratio_pow = ratio_sq  # ratio_sq^n
+    for n in range(1, _MAX_SERIES_TERMS + 1):
+        tail = (
+            _ZETA2_UPPER
+            * theta
+            * ratio_pow
+            * ratio_sq
+            / ((n + 1) * (2 * n + 3) * (1 - ratio_sq))
+        )
+        if tail < target:
+            return n
+        ratio_pow *= ratio_sq
+    raise ConfigurationError("Lobachevsky series failed to converge")  # pragma: no cover - defensive
 
 
 def lobachevsky(theta: Decimal, ctx: PrecisionContext) -> Decimal:
@@ -255,8 +290,9 @@ def clear_caches() -> None:
     """Drop memoized constants (used by timing tests)."""
     _pi_at.cache_clear()
     raw_constants.cache_clear()
+    global _bernoulli
     with _bernoulli_lock:
-        del _bernoulli[1:]
+        _bernoulli = []
 
 
 # ---------------------------------------------------------------------------

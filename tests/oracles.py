@@ -2,7 +2,9 @@
 
 The quadrature oracle integrates -log|2 sin t| directly with mpmath's
 tanh-sinh rule (which absorbs the endpoint log singularity); it shares
-no code or series with the package's evaluation path.  The rational
+no code or series with the package's evaluation path.  The Bernoulli
+recurrence is the package's former Fraction route, kept to check the
+tangent-number route digit for digit.  The rational
 oracle searches every denominator by brute force.  The weighted average
 recomputes vd_mod per part, and the row counter counts scan rows by a
 knapsack table instead of walking the multisets.
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
+from math import comb
 
 import mpmath
 
@@ -47,6 +50,26 @@ def quadrature_v_tet(digits: int = 40) -> Decimal:
             lambda x: -mpmath.log(2 * mpmath.sin(x)), [0, mpmath.pi / 6]
         )
         return _mpf_to_decimal(value, digits)
+
+
+def bernoulli_recurrence(n: int) -> list[Fraction]:
+    """[B_0, ..., B_n] via sum_{j<=m} C(m+1, j) B_j = 0, with B_1 = -1/2."""
+    bernoulli = [Fraction(1)]
+    for m in range(1, n + 1):
+        acc = Fraction(0)
+        for j, b in enumerate(bernoulli):
+            if b:
+                acc += comb(m + 1, j) * b
+        bernoulli.append(-acc / (m + 1))
+    return bernoulli
+
+
+def closed_form_constants(digits: int) -> tuple[Decimal, Decimal]:
+    """(v_oct, v_tet) as 4*Catalan and Cl_2(pi/3), evaluated by mpmath."""
+    with mpmath.workdps(digits + 15):
+        voct = 4 * mpmath.catalan
+        vtet = mpmath.clsin(2, mpmath.pi / 3)
+        return _mpf_to_decimal(voct, digits + 10), _mpf_to_decimal(vtet, digits + 10)
 
 
 def best_error_upto(r: Fraction, max_denominator: int) -> Fraction:

@@ -95,6 +95,15 @@ def test_too_few_digits_is_domain_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("digits", ["1001", "100000"])
+def test_too_many_digits_is_domain_error(capsys, monkeypatch, digits):
+    code, out, err = run_cli(capsys, "constants", "--digits", digits)
+    assert (code, out) == (1, "")
+    assert err == f"error: precision must be at most 1000 digits, got {digits}\n"
+    monkeypatch.setenv("FAL_SPECTRUM_DIGITS", digits)
+    assert run_cli(capsys, "constants") == (code, out, err)
+
+
 def test_density_builtin(capsys):
     code, out, err = run_cli(capsys, "density", "--recipe", "L41")
     assert code == 0, err

@@ -1,7 +1,9 @@
 """Lobachevsky series against the quadrature oracle, precision contracts,
-and the per-precision constant cache."""
+the exact Bernoulli table and the per-precision constant cache."""
 
 import random
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 
@@ -20,7 +22,13 @@ from fal_spectrum.numerics import (
     v_tet,
 )
 from helpers import pi_angle
-from oracles import lobachevsky_quadrature, quadrature_v_oct, quadrature_v_tet
+from oracles import (
+    bernoulli_recurrence,
+    closed_form_constants,
+    lobachevsky_quadrature,
+    quadrature_v_oct,
+    quadrature_v_tet,
+)
 
 # Frozen from the quadrature oracle at 45 digits.
 V_OCT_REF = Decimal("3.6638623767088760602184140597295364430965975")
@@ -41,6 +49,17 @@ def test_context_invariants(ctx):
 def test_precision_floor_rejected(bad):
     with pytest.raises(ConfigurationError):
         PrecisionContext(bad)
+
+
+@pytest.mark.parametrize("bad", [numerics.MAX_DIGITS + 1, 100_000])
+def test_precision_ceiling_rejected(bad):
+    with pytest.raises(ConfigurationError, match="at most 1000 digits"):
+        PrecisionContext(bad)
+
+
+def test_precision_range_ends_accepted():
+    assert PrecisionContext(numerics.MIN_DIGITS).digits == 20
+    assert PrecisionContext(numerics.MAX_DIGITS).digits == 1000
 
 
 def test_pi_reference(ctx):
@@ -143,3 +162,57 @@ def test_derived_window_constants(ctx):
     assert str(two_v_oct(ctx)).startswith("7.3277247534")
     assert str(ten_v_tet(ctx)).startswith("10.149416064")
     assert two_v_oct(ctx) < ten_v_tet(ctx)
+
+
+def test_bernoulli_table_equals_fraction_recurrence():
+    numerics.clear_caches()
+    table = numerics._bernoulli_table(250)
+    reference = bernoulli_recurrence(500)
+    assert table[:250] == reference[2::2]
+
+
+def test_constants_match_closed_forms_at_300_digits():
+    ctx = PrecisionContext(300)
+    voct_ref, vtet_ref = closed_form_constants(300)
+    assert abs(v_oct(ctx) - voct_ref) < ctx.comparison_tolerance
+    assert abs(v_tet(ctx) - vtet_ref) < ctx.comparison_tolerance
+
+
+def test_bernoulli_cache_concurrent_cold_builds():
+    digits = (30, 60, 120, 200, 300, 90)
+    serial = {}
+    longest = 0
+    for d in digits:
+        numerics.clear_caches()
+        serial[d] = numerics.raw_constants(PrecisionContext(d))
+        longest = max(longest, len(numerics._bernoulli))
+    reference = bernoulli_recurrence(2 * longest)[2::2]
+
+    numerics.clear_caches()
+    done = threading.Event()
+    published = {}  # id -> (table, length when first seen)
+
+    def watch():
+        while not done.is_set():
+            table = numerics._bernoulli
+            published.setdefault(id(table), (table, len(table)))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    watcher = threading.Thread(target=watch)
+    watcher.start()
+    try:
+        with ThreadPoolExecutor(max_workers=len(digits)) as pool:
+            cold = pool.map(lambda d: numerics.raw_constants(PrecisionContext(d)), digits, timeout=60)
+            results = dict(zip(digits, cold))
+    finally:
+        done.set()
+        watcher.join(timeout=10)
+        sys.setswitchinterval(switch)
+    assert not watcher.is_alive()
+    assert results == serial
+    assert len(published) > 1
+    for table, length in published.values():
+        # published whole and never mutated afterwards
+        assert len(table) == length
+        assert table == reference[:length]
