@@ -30,7 +30,6 @@ from .calculus import (
     DensityValue,
     composition,
     format_recipe,
-    modified_augmentations,
     replicate,
     replication_error,
     self_sum,
@@ -183,6 +182,11 @@ def approximate_vd_mod(
     if eps <= 0:
         raise DomainError(f"tolerance must be positive, got {eps}")
     tol = ctx.comparison_tolerance
+    if eps <= tol:
+        raise DomainError(
+            f"tolerance {eps} is too fine for {ctx.digits} digits, which resolve "
+            f"only tolerances above {tol}; raise the precision"
+        )
     with ctx.working():
         v1 = vd_mod(self_sum(link1, 1), ctx)
         v2 = vd_mod(self_sum(link2, 1), ctx)
@@ -245,10 +249,9 @@ def approximate_vd(
         half = eps / 2
         base = approximate_vd_mod(target, link1, link2, half, ctx, max_denominator)
         core = base.composition
-        atilde = modified_augmentations(core)
         vdm = base.achieved_vd_mod.evaluated
         # least m with vd_mod/(m*atilde+1) < eps/2, i.e. m > (2*vd_mod/eps - 1)/atilde
-        threshold = (2 * Fraction(vdm) / Fraction(eps) - 1) / atilde
+        threshold = (2 * Fraction(vdm) / Fraction(eps) - 1) / core.atilde
         m = max(1, math.floor(threshold) + 1)
         while replication_error(core, m, ctx) >= half:  # rounding safety; rarely taken
             m += 1

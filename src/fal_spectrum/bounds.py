@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import islice
 
 from . import numerics
-from .calculus import DensityValue, augmentations, composition, format_recipe, modified_augmentations, vd, vd_mod
+from .calculus import DensityValue, composition, format_recipe, vd, vd_mod
 from .catalog import Catalog, ExactVolume
 from .errors import CapExceededError, DomainError
 from .numerics import PrecisionContext
@@ -230,8 +230,8 @@ def spectrum_scan(
         rows.append(
             ScanRow(
                 recipe=format_recipe(c),
-                a=augmentations(c),
-                atilde=modified_augmentations(c),
+                a=c.atilde + 1,
+                atilde=c.atilde,
                 vd=vd(c, ctx),
                 vd_mod=vd_mod(c, ctx),
             )

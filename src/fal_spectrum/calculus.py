@@ -4,7 +4,9 @@ Belted sums of base links form a commutative monoid at the value level:
 volumes add, and modified augmentation counts (a - 1) add.  A composition
 is therefore canonically a multiset of base links with multiplicities;
 the order in which sums were taken is irrelevant and two recipes are
-equal exactly when their multisets agree.
+equal exactly when their multisets agree.  The totals vol(c) and a(c) - 1
+are therefore fixed when the multiset is built: composition() computes
+them once, and every later query reads them.
 
 For a composition c with volume vol(c) and augmentation count a(c):
 
@@ -19,7 +21,7 @@ the inputs are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -50,12 +52,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Composition:
-    """Multiset of (base link, multiplicity) pairs; build via composition()."""
+    """Multiset of (base link, multiplicity) pairs with its total volume and
+    a - 1; build via composition(), which alone computes the totals."""
 
     parts: tuple[tuple[BaseLink, int], ...]
-
-    def counts(self) -> dict[BaseLink, int]:
-        return dict(self.parts)
+    volume: ExactVolume = field(compare=False)
+    atilde: int = field(compare=False)
 
 
 def _is_positive_int(value) -> bool:
@@ -65,24 +67,27 @@ def _is_positive_int(value) -> bool:
 def composition(parts: Mapping[BaseLink, int] | Iterable[tuple[BaseLink, int]]) -> Composition:
     items = parts.items() if isinstance(parts, Mapping) else parts
     merged: dict[BaseLink, int] = {}
+    c_oct = c_tet = remainder = Fraction(0)
+    atilde = 0
     for link, multiplicity in items:
         if not isinstance(link, BaseLink):
             raise DomainError(f"composition parts must be BaseLink, got {type(link).__name__}")
         if not _is_positive_int(multiplicity):
             raise DomainError(f"multiplicity for {link.name} must be a positive integer")
         merged[link] = merged.get(link, 0) + multiplicity
+        c_oct += link.volume.c_oct * multiplicity
+        c_tet += link.volume.c_tet * multiplicity
+        remainder += link.volume.remainder * multiplicity
+        atilde += link.atilde * multiplicity
     if not merged:
         raise DomainError("a composition needs at least one part")
     ordered = tuple(sorted(merged.items(), key=lambda item: item[0].sort_key()))
-    return Composition(ordered)
+    return Composition(ordered, ExactVolume(c_oct, c_tet, remainder), atilde)
 
 
 def belted_sum(x: Composition, y: Composition) -> Composition:
     """Multiset union; multiplicities add for shared base links."""
-    merged = x.counts()
-    for link, multiplicity in y.parts:
-        merged[link] = merged.get(link, 0) + multiplicity
-    return composition(merged)
+    return composition(x.parts + y.parts)
 
 
 def self_sum(link: BaseLink, k: int) -> Composition:
@@ -99,19 +104,16 @@ def replicate(c: Composition, m: int) -> Composition:
 
 def volume(c: Composition) -> ExactVolume:
     """Total volume: volumes add under belted sum."""
-    total = ExactVolume()
-    for link, multiplicity in c.parts:
-        total = total + link.volume * multiplicity
-    return total
+    return c.volume
 
 
 def modified_augmentations(c: Composition) -> int:
     """a(c) - 1; additive under belted sum."""
-    return sum(k * link.atilde for link, k in c.parts)
+    return c.atilde
 
 
 def augmentations(c: Composition) -> int:
-    return modified_augmentations(c) + 1
+    return c.atilde + 1
 
 
 @dataclass(frozen=True)
@@ -149,29 +151,27 @@ def exact_combo_string(
 
 
 def _density(c: Composition, denominator: int, ctx: PrecisionContext) -> DensityValue:
-    vol = volume(c)
     with ctx.working():
-        evaluated = vol.evaluate(ctx, rounded=False) / denominator
-    return DensityValue(vol, denominator, numerics.round_to(evaluated, ctx))
+        evaluated = c.volume.evaluate(ctx) / denominator
+    return DensityValue(c.volume, denominator, numerics.round_to(evaluated, ctx))
 
 
 def vd(c: Composition, ctx: PrecisionContext) -> DensityValue:
     """Volume density vol/a."""
-    return _density(c, augmentations(c), ctx)
+    return _density(c, c.atilde + 1, ctx)
 
 
 def vd_mod(c: Composition, ctx: PrecisionContext) -> DensityValue:
     """Modified volume density vol/(a-1)."""
-    return _density(c, modified_augmentations(c), ctx)
+    return _density(c, c.atilde, ctx)
 
 
 def replication_error(c: Composition, m: int, ctx: PrecisionContext) -> Decimal:
     """Exact gap vd_mod(c^(m)) - vd(c^(m)) = vd_mod(c) / (m * (a-1) + 1)."""
     if not _is_positive_int(m):
         raise DomainError(f"replication count must be a positive integer, got {m!r}")
-    atilde = modified_augmentations(c)
     with ctx.working():
-        gap = volume(c).evaluate(ctx, rounded=False) / (atilde * (m * atilde + 1))
+        gap = c.volume.evaluate(ctx) / (c.atilde * (m * c.atilde + 1))
     return numerics.round_to(gap, ctx)
 
 

@@ -36,11 +36,22 @@ __all__ = [
 ]
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+# The exponent written at the end of a number string, as in "1.5e-3".
+_EXPONENT_RE = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*$")
+
+
+def _check_exponent(value, what: str) -> None:
+    """Refuse a string whose written exponent exceeds numerics.MAX_EXPONENT,
+    before Fraction builds 10**exponent from it."""
+    match = _EXPONENT_RE.search(value) if isinstance(value, str) else None
+    if match and abs(Decimal(match.group(1))) > numerics.MAX_EXPONENT:
+        raise CatalogError(f"{what}: exponent out of range (at most {numerics.MAX_EXPONENT} in magnitude)")
 
 
 def _coerce_fraction(value, what: str) -> Fraction:
     if isinstance(value, float):
         raise CatalogError(f"{what}: floats are not accepted, pass a string or Fraction")
+    _check_exponent(value, what)
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
@@ -50,6 +61,7 @@ def _coerce_fraction(value, what: str) -> Fraction:
 def _decimal_string_fraction(text: str, what: str) -> Fraction:
     if isinstance(text, float):
         raise CatalogError(f"{what}: floats are not accepted, pass a decimal string")
+    _check_exponent(text, what)
     try:
         return Fraction(Decimal(text))
     except (InvalidOperation, ValueError, TypeError) as exc:
@@ -108,9 +120,9 @@ class ExactVolume:
 
     __rmul__ = __mul__
 
-    def evaluate(self, ctx: PrecisionContext, *, rounded: bool = True) -> Decimal:
-        value = numerics.combination(self.c_oct, self.c_tet, self.remainder, ctx)
-        return numerics.round_to(value, ctx) if rounded else value
+    def evaluate(self, ctx: PrecisionContext) -> Decimal:
+        """The volume at working precision, unrounded."""
+        return numerics.combination(self.c_oct, self.c_tet, self.remainder, ctx)
 
     def remainder_decimal_string(self) -> str:
         text = numerics.exact_decimal_string(self.remainder)
@@ -173,15 +185,14 @@ class Catalog:
         object.__setattr__(self, "_by_name", {link.name: link for link in self.links})
 
     @classmethod
-    def from_links(cls, links, *, include_builtin: bool = True) -> "Catalog":
+    def from_links(cls, links) -> "Catalog":
         seen: dict[str, BaseLink] = {}
         for link in links:
             if link.name in seen:
                 raise CatalogError(f"duplicate link name {link.name!r}")
             seen[link.name] = link
-        if include_builtin:
-            for link in builtin_links():
-                seen.setdefault(link.name, link)
+        for link in builtin_links():
+            seen.setdefault(link.name, link)
         return cls(tuple(sorted(seen.values(), key=BaseLink.sort_key)))
 
     def __iter__(self) -> Iterator[BaseLink]:
@@ -292,7 +303,7 @@ def validate_entry(link: BaseLink, ctx: PrecisionContext) -> list[Diagnostic]:
     tol = ctx.comparison_tolerance
     out: list[Diagnostic] = []
     with ctx.working():
-        vol = link.volume.evaluate(ctx, rounded=False)
+        vol = link.volume.evaluate(ctx)
         density = vol / link.augmentations
         if density < voct - tol:
             out.append(

@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constants", parents=[common], help="print v_oct, v_tet and the window bounds")
     p.set_defaults(handler=_cmd_constants)
 
-    p = sub.add_parser("catalog", parents=[common], help="catalog inspection")
+    p = sub.add_parser("catalog", help="catalog inspection")
     catalog_sub = p.add_subparsers(dest="catalog_command", required=True)
     p_list = catalog_sub.add_parser("list", parents=[common], help="list catalog entries")
     p_list.add_argument("file", help="catalog JSON file")
@@ -191,7 +191,7 @@ def _cmd_catalog_list(args, ctx: PrecisionContext) -> str:
                 link.name,
                 str(link.augmentations),
                 calculus.exact_combo_string(*link.volume.components(), ctx),
-                str(link.volume.evaluate(ctx)),
+                str(numerics.round_to(link.volume.evaluate(ctx), ctx)),
                 str(calculus.vd(c, ctx).evaluated),
                 str(calculus.vd_mod(c, ctx).evaluated),
                 link.note,
@@ -214,15 +214,14 @@ def _cmd_validate(args, ctx: PrecisionContext) -> str:
 def _cmd_density(args, ctx: PrecisionContext) -> str:
     cat = _load_catalog(args.file)
     comp = calculus.parse_recipe(args.recipe, cat)
-    vol = calculus.volume(comp)
     density = calculus.vd(comp, ctx)
     density_mod = calculus.vd_mod(comp, ctx)
     pairs = [
         ("recipe", calculus.format_recipe(comp)),
-        ("vol_exact", calculus.exact_combo_string(*vol.components(), ctx)),
-        ("vol_decimal", str(vol.evaluate(ctx))),
-        ("a", str(calculus.augmentations(comp))),
-        ("atilde", str(calculus.modified_augmentations(comp))),
+        ("vol_exact", calculus.exact_combo_string(*comp.volume.components(), ctx)),
+        ("vol_decimal", str(numerics.round_to(comp.volume.evaluate(ctx), ctx))),
+        ("a", str(comp.atilde + 1)),
+        ("atilde", str(comp.atilde)),
         ("vd_exact", density.exact_string(ctx)),
         ("vd_decimal", str(density.evaluated)),
         ("vdmod_exact", density_mod.exact_string(ctx)),

@@ -56,6 +56,7 @@ __all__ = [
     "DEFAULT_DIGITS",
     "GUARD_DIGITS",
     "MAX_DIGITS",
+    "MAX_EXPONENT",
     "MIN_DIGITS",
     "PrecisionContext",
     "combination",
@@ -74,6 +75,7 @@ __all__ = [
 DEFAULT_DIGITS = 30
 MIN_DIGITS = 20
 MAX_DIGITS = 1000  # the cold cost of the constants grows about cubically in digits
+MAX_EXPONENT = 10_000  # largest written exponent in a catalog number; "1eN" builds 10**N
 GUARD_DIGITS = 5
 
 # Any upper bound on zeta(2) = pi^2/6 = 1.6449... keeps the tail estimate valid.

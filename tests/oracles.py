@@ -5,7 +5,9 @@ tanh-sinh rule (which absorbs the endpoint log singularity); it shares
 no code or series with the package's evaluation path.  The Bernoulli
 recurrence is the package's former Fraction route, kept to check the
 tangent-number route digit for digit.  The rational
-oracle searches every denominator by brute force.  The weighted average
+oracle searches every denominator by brute force.  The volume fold is the
+package's former per-query walk over a composition's parts, kept to check
+the totals composition() fixes at construction.  The weighted average
 recomputes vd_mod per part, and the row counter counts scan rows by a
 knapsack table instead of walking the multisets.
 """
@@ -85,6 +87,14 @@ def best_error_upto(r: Fraction, max_denominator: int) -> Fraction:
     return best
 
 
+def volume_fold(parts) -> ExactVolume:
+    """Total volume of (link, multiplicity) parts by ExactVolume + and *."""
+    total = ExactVolume()
+    for link, multiplicity in parts:
+        total = total + link.volume * multiplicity
+    return total
+
+
 def weighted_average_vd_mod(c: Composition, ctx: PrecisionContext) -> DensityValue:
     """vd_mod computed the other way: the per-part modified densities averaged
     with weights k_i * (a_i - 1).  Must agree exactly with vd_mod."""
@@ -95,7 +105,7 @@ def weighted_average_vd_mod(c: Composition, ctx: PrecisionContext) -> DensityVal
         weight_total += weight
         acc = acc + link.volume * Fraction(weight, link.atilde)
     with ctx.working():
-        evaluated = acc.evaluate(ctx, rounded=False) / weight_total
+        evaluated = acc.evaluate(ctx) / weight_total
     return DensityValue(acc, weight_total, round_to(evaluated, ctx))
 
 

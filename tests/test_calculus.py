@@ -1,5 +1,6 @@
 """Value-level monoid laws of the belted sum and the density identities."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from fal_spectrum import (
 )
 from fal_spectrum.numerics import two_v_oct, v_oct
 from helpers import make_link
-from oracles import weighted_average_vd_mod
+from oracles import volume_fold, weighted_average_vd_mod
 
 S50 = make_link("S", c_tet=50, a=6)
 
@@ -172,6 +173,39 @@ _compliant_links = st.builds(
 def test_bound_propagation(ctx, c):
     # every part obeys vol >= 2*(a-1)*v_oct, so the mixture's vd_mod >= 2*v_oct
     assert vd_mod(c, ctx).evaluated >= two_v_oct(ctx) - ctx.comparison_tolerance
+
+
+_coefficients = st.fractions(min_value=0, max_value=20, max_denominator=12)
+_remainders = st.decimals(min_value=0, max_value=50, places=4).map(str)
+
+
+@st.composite
+def _catalog_parts(draw):
+    """Two lists of (link, multiplicity) parts over one random small catalog;
+    a list may name a link more than once, so composition() has to merge."""
+    links = []
+    for i in range(draw(st.integers(1, 4))):
+        c_oct, c_tet, remainder = draw(
+            st.tuples(_coefficients, _coefficients, _remainders).filter(
+                lambda v: v[0] or v[1] or Decimal(v[2])
+            )
+        )
+        links.append(make_link(f"R{i}", c_oct, c_tet, remainder, a=draw(st.integers(2, 9))))
+    parts = st.lists(st.tuples(st.sampled_from(links), st.integers(1, 10**6)), min_size=1, max_size=6)
+    return draw(parts), draw(parts)
+
+
+@settings(max_examples=80)
+@given(_catalog_parts())
+def test_totals_fixed_at_construction_match_reference(parts_pair):
+    # Composition == compares parts only, so the totals need their own check
+    x, y = (composition(parts) for parts in parts_pair)
+    for c, parts in zip((x, y), parts_pair):
+        assert c.volume == volume_fold(parts)
+        assert c.atilde == sum(k * (link.augmentations - 1) for link, k in parts)
+    summed = belted_sum(x, y)
+    assert summed.volume == x.volume + y.volume
+    assert summed.atilde == x.atilde + y.atilde
 
 
 @given(_compositions, st.integers(1, 50))

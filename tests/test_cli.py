@@ -137,6 +137,17 @@ def test_catalog_list(capsys, catalog_file):
     assert {line.split()[0] for line in lines[1:]} == {"L41", "Low", "S10"}
 
 
+@pytest.mark.parametrize("option", [["--digits", "60"], ["--format", "json"], ["--output", "OUT"]])
+def test_catalog_group_options_are_usage_errors(capsys, catalog_file, tmp_path, option):
+    # global options belong after "list"
+    option = [str(tmp_path / "out.txt") if arg == "OUT" else arg for arg in option]
+    code, out, _ = run_cli(capsys, "catalog", *option, "list", catalog_file)
+    assert (code, out) == (2, "")
+    assert not (tmp_path / "out.txt").exists()
+    code, out, err = run_cli(capsys, "catalog", "list", catalog_file, *option)
+    assert code == 0, err
+
+
 def test_validate_reports_warnings(capsys, catalog_file):
     code, out, err = run_cli(capsys, "validate", catalog_file, "--format", "json")
     assert code == 0, err
@@ -185,6 +196,18 @@ def test_approximate_and_feed_back(capsys, catalog_file):
     assert again["vdmod_decimal"] == pairs["achieved_vdmod_decimal"]
 
 
+@pytest.mark.parametrize("mode", ["vd", "vdmod"])
+def test_unresolvable_eps_is_precision_error(capsys, catalog_file, mode):
+    code, out, err = run_cli(
+        capsys, "approximate", catalog_file, "--l1", "L41", "--l2", "S10",
+        "--target", "9.0", "--eps", "1e-40", "--mode", mode,
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "30 digits" in err and "1E-25" in err
+    assert "max_denominator" not in err
+
+
 def test_approximate_out_of_range(capsys, catalog_file):
     code, _, err = run_cli(
         capsys,
@@ -201,6 +224,20 @@ def test_approximate_out_of_range(capsys, catalog_file):
     )
     assert code == 1
     assert "outside" in err
+
+
+@pytest.mark.parametrize("field", ["c_oct", "remainder"])
+def test_catalog_exponent_out_of_range(tmp_path, field):
+    # Fraction would build 10**999999999; a subprocess with a timeout keeps a
+    # regression from hanging the suite
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"links": [{"name": "H", field: "1e999999999", "a": 2}]}), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fal_spectrum", "validate", str(path)],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: links[0]: {field}: exponent out of range (at most 10000 in magnitude)\n"
 
 
 def test_bounds_command(capsys):
