@@ -21,7 +21,7 @@ gap fits in the other half.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -38,7 +38,7 @@ from .calculus import (
 )
 from .catalog import BaseLink
 from .errors import CapExceededError, DegeneratePairError, DomainError, TargetRangeError
-from .numerics import PrecisionContext
+from .numerics import PrecisionContext, check_exponent
 
 __all__ = [
     "DEFAULT_MAX_DENOMINATOR",
@@ -77,19 +77,17 @@ class Recipe:
         return format_recipe(self.composition)
 
 
-def _as_decimal(value) -> Decimal:
+def _as_decimal(value, what: str) -> Decimal:
     if isinstance(value, DensityValue):
         return value.evaluated
-    if isinstance(value, Decimal):
-        return value
     if isinstance(value, float):
         raise DomainError("densities must be Decimal, not float")
-    return Decimal(value)
+    return check_exponent(Decimal(value), what)
 
 
 def alpha_for_target(target, v1, v2, ctx: PrecisionContext) -> Fraction:
     """Exact mixing weight alpha with target = alpha*v1 + (1-alpha)*v2."""
-    t, d1, d2 = _as_decimal(target), _as_decimal(v1), _as_decimal(v2)
+    t, d1, d2 = _as_decimal(target, "target"), _as_decimal(v1, "v1"), _as_decimal(v2, "v2")
     tol = ctx.comparison_tolerance
     if abs(d1 - d2) <= tol:
         raise DegeneratePairError(
@@ -152,20 +150,21 @@ def best_rational_approximations(r, max_denominator: int = DEFAULT_MAX_DENOMINAT
     return convergents
 
 
-def _endpoint_recipe(link: BaseLink, is_first: bool, target: Decimal, ctx: PrecisionContext) -> Recipe:
-    c = self_sum(link, 1)
-    achieved = vd_mod(c, ctx)
-    return Recipe(
-        k=1 if is_first else 0,
-        l=0 if is_first else 1,
-        m=1,
-        composition=c,
-        achieved_vd_mod=achieved,
-        achieved_vd=vd(c, ctx),
-        error=abs(achieved.evaluated - target),
-        target=target,
-        mode="vdmod",
-    )
+def _candidates(
+    target: Decimal, link1: BaseLink, link2: BaseLink, ctx: PrecisionContext, max_denominator: int
+):
+    """(k, l, composition, vd_mod) in search order: each anchor link alone,
+    then k copies of link1 and l of link2 for each convergent k/l of the
+    mixing ratio.  The ratio is formed only once both anchors are refused."""
+    c1, c2 = self_sum(link1, 1), self_sum(link2, 1)
+    v1, v2 = vd_mod(c1, ctx), vd_mod(c2, ctx)
+    yield 1, 0, c1, v1
+    yield 0, 1, c2, v2
+    ratio = target_ratio(alpha_for_target(target, v1, v2, ctx), link1.atilde, link2.atilde)
+    for convergent in best_rational_approximations(ratio, max_denominator):
+        k, l = convergent.numerator, convergent.denominator
+        c = composition({link1: k, link2: l})
+        yield k, l, c, vd_mod(c, ctx)
 
 
 def approximate_vd_mod(
@@ -176,9 +175,10 @@ def approximate_vd_mod(
     ctx: PrecisionContext,
     max_denominator: int = DEFAULT_MAX_DENOMINATOR,
 ) -> Recipe:
-    """Smallest-denominator convergent recipe with |vd_mod - target| < eps."""
-    target = _as_decimal(target)
-    eps = _as_decimal(eps)
+    """Smallest-denominator convergent recipe with |vd_mod - target| < eps,
+    or an anchor link alone when it sits within tolerance of the target."""
+    target = _as_decimal(target, "target")
+    eps = _as_decimal(eps, "eps")
     if eps <= 0:
         raise DomainError(f"tolerance must be positive, got {eps}")
     tol = ctx.comparison_tolerance
@@ -188,28 +188,10 @@ def approximate_vd_mod(
             f"only tolerances above {tol}; raise the precision"
         )
     with ctx.working():
-        v1 = vd_mod(self_sum(link1, 1), ctx)
-        v2 = vd_mod(self_sum(link2, 1), ctx)
-        err1 = abs(v1.evaluated - target)
-        err2 = abs(v2.evaluated - target)
-        if err1 <= tol and err1 < eps:
-            return _endpoint_recipe(link1, True, target, ctx)
-        if err2 <= tol and err2 < eps:
-            return _endpoint_recipe(link2, False, target, ctx)
-
-        alpha = alpha_for_target(target, v1, v2, ctx)
-        if alpha == 0 or alpha == 1:
-            raise DomainError(
-                f"target {target} sits at an endpoint but eps={eps} is below the "
-                "endpoint error; nothing closer exists"
-            )
-        ratio = target_ratio(alpha, link1.atilde, link2.atilde)
-        for convergent in best_rational_approximations(ratio, max_denominator):
-            k, l = convergent.numerator, convergent.denominator
-            c = composition({link1: k, link2: l})
-            achieved = vd_mod(c, ctx)
+        for k, l, c, achieved in _candidates(target, link1, link2, ctx, max_denominator):
             error = abs(achieved.evaluated - target)
-            if error < eps:
+            # an anchor alone (k or l zero) is taken only within tol, which is below eps
+            if (error < eps if k and l else error <= tol):
                 return Recipe(
                     k=k,
                     l=l,
@@ -241,8 +223,8 @@ def approximate_vd(
     times; the replication gap vd_mod/(m*atilde+1) has a closed form, so
     the least m bringing it under eps/2 is computed directly.
     """
-    target = _as_decimal(target)
-    eps = _as_decimal(eps)
+    target = _as_decimal(target, "target")
+    eps = _as_decimal(eps, "eps")
     if eps <= 0:
         raise DomainError(f"tolerance must be positive, got {eps}")
     with ctx.working():
@@ -257,14 +239,12 @@ def approximate_vd(
             m += 1
         expanded = core if m == 1 else replicate(core, m)
         achieved_vd = vd(expanded, ctx)
-        return Recipe(
-            k=base.k,
-            l=base.l,
+        return replace(
+            base,
             m=m,
             composition=expanded,
             achieved_vd_mod=vd_mod(expanded, ctx),
             achieved_vd=achieved_vd,
             error=abs(achieved_vd.evaluated - target),
-            target=target,
             mode="vd",
         )

@@ -98,7 +98,8 @@ def _density_parts(value) -> tuple[Fraction, Fraction, Fraction]:
     if isinstance(value, float):
         raise DomainError("densities must be Decimal (or exact forms), not float")
     if isinstance(value, (Decimal, int, str)):
-        return (Fraction(0), Fraction(0), Fraction(Decimal(value)))
+        decimal = numerics.check_exponent(Decimal(value), "density")
+        return (Fraction(0), Fraction(0), Fraction(decimal))
     raise DomainError(f"cannot interpret {value!r} as a density")
 
 
@@ -159,15 +160,8 @@ def max_augmentations_below(density, ctx: PrecisionContext) -> Certificate:
             "threshold is within tolerance of 2*v_oct; no finite certificate exists there"
         )
 
-    def bound(a: int) -> Fraction:
-        return two_voct * (a - 1) / a
-
-    # bound(a) <= target  iff  a <= 2*v_oct / (2*v_oct - target)
+    # 2*v_oct*(a-1)/a <= target  iff  a <= 2*v_oct / (2*v_oct - target), exactly
     n = max(2, int(two_voct / (two_voct - target)))
-    while bound(n + 1) <= target:
-        n += 1
-    while n > 2 and bound(n) > target:
-        n -= 1
     threshold = numerics.round_to(evaluated, ctx)
     return Certificate(
         threshold=threshold,

@@ -179,7 +179,7 @@ def replication_error(c: Composition, m: int, ctx: PrecisionContext) -> Decimal:
 # Recipe strings: comma-separated name*multiplicity, multiplicity defaults to 1
 
 def parse_recipe(text: str, catalog: Catalog) -> Composition:
-    counts: dict[BaseLink, int] = {}
+    parts = []
     for raw in text.split(","):
         token = raw.strip()
         if not token:
@@ -195,9 +195,8 @@ def parse_recipe(text: str, catalog: Catalog) -> Composition:
             multiplicity = 1
         if multiplicity < 1:
             raise DomainError(f"multiplicity must be positive in recipe part {token!r}")
-        link = catalog[name]
-        counts[link] = counts.get(link, 0) + multiplicity
-    return composition(counts)
+        parts.append((catalog[name], multiplicity))
+    return composition(parts)
 
 
 def format_recipe(c: Composition) -> str:

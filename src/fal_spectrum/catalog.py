@@ -136,8 +136,8 @@ class BaseLink:
     """A named fully augmented link with known volume and augmentation count."""
 
     name: str
-    volume: ExactVolume
-    augmentations: int
+    volume: ExactVolume = field(hash=False)
+    augmentations: int = field(hash=False)
     note: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:

@@ -15,25 +15,25 @@ high precision, so ``lobachevsky`` evaluates the equivalent expansion
 (obtained by integrating the product formula for sin)
 
     Lambda(theta) = theta*(1 - log(2*theta))
-                  + sum_{n>=1} zeta(2n) * theta^(2n+1) / (n*(2n+1)*pi^(2n))
+                  + sum_{n>=1} zeta(2n) * theta^(2n+1) / (n*(2n+1)*pi^(2n)).
 
-with zeta(2n) = |B_2n| * (2*pi)^(2n) / (2*(2n)!) supplied by exact
-Bernoulli numbers, which cancels the pi powers term by term.  Successive
-terms shrink by a factor of about (theta/pi)^2 <= 1/4, and zeta(2n) <=
-zeta(2) gives a proven geometric bound on the truncated tail, used as
-the stopping rule.  The bound fixes the number of terms before the sum
-starts.
+With zeta(2n) = |B_2n| * (2*pi)^(2n) / (2*(2n)!) and the Bernoulli
+numbers written through the tangent numbers T_n (tan x = sum T_n
+x^(2n-1)/(2n-1)!) as B_2n = (-1)^(n-1) * 2n * T_n / (4^n * (4^n - 1)),
+the pi powers cancel and the n-th term is
 
-The Bernoulli numbers come from the tangent numbers T_n (tan x =
-sum T_n x^(2n-1)/(2n-1)!) through
+    T_n * theta^(2n+1) / ((4^n - 1) * (2n+1)!),
 
-    B_2n = (-1)^(n-1) * 2n * T_n / (4^n * (4^n - 1)),
+a power of theta times a ratio of integers, so no Bernoulli number is
+ever formed.  Successive terms shrink by a factor of about (theta/pi)^2
+<= 1/4, and zeta(2n) <= zeta(2) gives a proven geometric bound on the
+truncated tail, used as the stopping rule.  The bound fixes the number
+of terms before the sum starts.
 
-and T_1..T_N from Brent & Harvey's integer-only O(N^2) recurrence
+T_1..T_N come from Brent & Harvey's integer-only O(N^2) recurrence
 ("Fast computation of Bernoulli, Tangent and Secant numbers",
 arXiv:1108.0286).  The recurrence is not incremental, so the shared
-table is built once at the length the series asks for.  The values are
-exact, so the series sums the same rationals as any other route.
+table is built once at the length the series asks for.
 
 Everything evaluated here and elsewhere in the package is a
 ``decimal.Decimal`` carrying ``digits`` significant digits; internal
@@ -44,9 +44,10 @@ cache is safe for concurrent readers.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass
-from decimal import Context, Decimal, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -59,6 +60,7 @@ __all__ = [
     "MAX_EXPONENT",
     "MIN_DIGITS",
     "PrecisionContext",
+    "check_exponent",
     "combination",
     "exact_decimal_string",
     "fraction_to_decimal",
@@ -75,13 +77,15 @@ __all__ = [
 DEFAULT_DIGITS = 30
 MIN_DIGITS = 20
 MAX_DIGITS = 1000  # the cold cost of the constants grows about cubically in digits
-MAX_EXPONENT = 10_000  # largest written exponent in a catalog number; "1eN" builds 10**N
+MAX_EXPONENT = 10_000  # largest exponent of a catalog number or decimal input; "1eN" builds 10**N
 GUARD_DIGITS = 5
 
 # Any upper bound on zeta(2) = pi^2/6 = 1.6449... keeps the tail estimate valid.
 _ZETA2_UPPER = Decimal("1.645")
 
-_MAX_SERIES_TERMS = 100_000
+# Exact integer products kept as Decimals: growing (2n+1)! as an int and
+# converting it for every series term costs time quadratic in its length.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 @dataclass(frozen=True)
@@ -128,6 +132,14 @@ def _context(prec: int) -> Context:
     return Context(prec=prec)
 
 
+def check_exponent(value: Decimal, what: str) -> Decimal:
+    """``value``, refused if its exponent exceeds MAX_EXPONENT in magnitude,
+    before Fraction(value) builds 10**exponent or a quotient overflows."""
+    if value.is_finite() and abs(value.as_tuple().exponent) > MAX_EXPONENT:
+        raise DomainError(f"{what}: exponent out of range (at most {MAX_EXPONENT} in magnitude)")
+    return value
+
+
 def round_to(value: Decimal, ctx: PrecisionContext) -> Decimal:
     """Round ``value`` to the context's number of significant digits."""
     with localcontext(_context(ctx.digits)):
@@ -135,10 +147,10 @@ def round_to(value: Decimal, ctx: PrecisionContext) -> Decimal:
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli numbers (exact, shared, one table per series length)
+# Tangent numbers (exact, shared, one table per series length)
 
-_bernoulli_lock = threading.Lock()
-_bernoulli: list[Fraction] = []  # [B_2, B_4, ..., B_2n]; never mutated once published
+_tangent_lock = threading.Lock()
+_tangents: list[int] = []  # [T_1, T_2, ..., T_n]; never mutated once published
 
 
 def _tangent_numbers(count: int) -> list[int]:
@@ -154,20 +166,17 @@ def _tangent_numbers(count: int) -> list[int]:
     return t
 
 
-def _bernoulli_table(count: int) -> list[Fraction]:
-    """[B_2, ..., B_2m] for some m >= count, B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)).
+def _tangent_table(count: int) -> list[int]:
+    """[T_1, ..., T_m] for some m >= count.
 
-    The tangent recurrence is not incremental, so a longer request rebuilds
-    the table at exactly its size and publishes the new list under the lock.
+    The recurrence is not incremental, so a longer request rebuilds the
+    table at exactly its size and publishes the new list under the lock.
     """
-    global _bernoulli
-    with _bernoulli_lock:
-        if len(_bernoulli) < count:
-            _bernoulli = [
-                Fraction((-1) ** (n - 1) * 2 * n * t, 4**n * (4**n - 1))
-                for n, t in enumerate(_tangent_numbers(count), 1)
-            ]
-        return _bernoulli
+    global _tangents
+    with _tangent_lock:
+        if len(_tangents) < count:
+            _tangents = _tangent_numbers(count)
+        return _tangents
 
 
 # ---------------------------------------------------------------------------
@@ -212,19 +221,16 @@ def _lobachevsky_raw(theta: Decimal, ctx: PrecisionContext) -> Decimal:
         pi_w = _pi_at(ctx.working_prec)
         if theta <= 0 or theta > pi_w / 2 + ctx.comparison_tolerance:
             raise DomainError(f"angle must satisfy 0 < theta <= pi/2, got {theta}")
-        two_theta = 2 * theta
         ratio_sq = (theta / pi_w) ** 2
         terms = _series_terms(theta, ratio_sq, Decimal(1).scaleb(-(ctx.digits + 2)))
-        total = theta * (1 - two_theta.ln())
-        two_theta_sq = two_theta * two_theta
-        power = Decimal(1)  # (2*theta)^(2n)
-        factorial = 1  # (2n)!
-        for n, b in zip(range(1, terms + 1), _bernoulli_table(terms)):
-            power *= two_theta_sq
-            factorial *= (2 * n - 1) * (2 * n)
-            total += (Decimal(abs(b.numerator)) * power * theta) / Decimal(
-                2 * factorial * b.denominator * n * (2 * n + 1)
-            )
+        total = theta * (1 - (2 * theta).ln())
+        theta_sq = theta * theta
+        power = theta  # theta^(2n+1)
+        factorial = Decimal(1)  # (2n+1)!, exact
+        for n, t in zip(range(1, terms + 1), _tangent_table(terms)):
+            power *= theta_sq
+            factorial = _EXACT.multiply(factorial, 2 * n * (2 * n + 1))
+            total += Decimal(t) * power / _EXACT.multiply(4**n - 1, factorial)
         return total
 
 
@@ -232,7 +238,7 @@ def _series_terms(theta: Decimal, ratio_sq: Decimal, target: Decimal) -> int:
     """The first n whose proven tail bound is below ``target``:
     tail <= zeta(2) * theta * r^(n+1) / ((n+1)(2n+3)(1-r)), r = (theta/pi)^2."""
     ratio_pow = ratio_sq  # ratio_sq^n
-    for n in range(1, _MAX_SERIES_TERMS + 1):
+    for n in itertools.count(1):
         tail = (
             _ZETA2_UPPER
             * theta
@@ -243,7 +249,6 @@ def _series_terms(theta: Decimal, ratio_sq: Decimal, target: Decimal) -> int:
         if tail < target:
             return n
         ratio_pow *= ratio_sq
-    raise ConfigurationError("Lobachevsky series failed to converge")  # pragma: no cover - defensive
 
 
 def lobachevsky(theta: Decimal, ctx: PrecisionContext) -> Decimal:
@@ -292,9 +297,9 @@ def clear_caches() -> None:
     """Drop memoized constants (used by timing tests)."""
     _pi_at.cache_clear()
     raw_constants.cache_clear()
-    global _bernoulli
-    with _bernoulli_lock:
-        _bernoulli = []
+    global _tangents
+    with _tangent_lock:
+        _tangents = []
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,13 @@
 The quadrature oracle integrates -log|2 sin t| directly with mpmath's
 tanh-sinh rule (which absorbs the endpoint log singularity); it shares
 no code or series with the package's evaluation path.  The Bernoulli
-recurrence is the package's former Fraction route, kept to check the
-tangent-number route digit for digit.  The rational
-oracle searches every denominator by brute force.  The volume fold is the
-package's former per-query walk over a composition's parts, kept to check
-the totals composition() fixes at construction.  The weighted average
-recomputes vd_mod per part, and the row counter counts scan rows by a
-knapsack table instead of walking the multisets.
+recurrence is the package's former Fraction route; the tangent numbers
+derived from it check the package's integer tangent table exactly.  The
+rational oracle searches every denominator by brute force.  The volume
+fold is the package's former per-query walk over a composition's parts,
+kept to check the totals composition() fixes at construction.  The
+weighted average recomputes vd_mod per part, and the row counter counts
+scan rows by a knapsack table instead of walking the multisets.
 """
 
 from __future__ import annotations
@@ -64,6 +64,18 @@ def bernoulli_recurrence(n: int) -> list[Fraction]:
                 acc += comb(m + 1, j) * b
         bernoulli.append(-acc / (m + 1))
     return bernoulli
+
+
+def tangent_numbers(count: int) -> list[int]:
+    """[T_1, ..., T_count] from the Bernoulli recurrence, through
+    T_n = (-1)^(n-1) * B_2n * 4^n * (4^n - 1) / (2n), which must be integral."""
+    bernoulli = bernoulli_recurrence(2 * count)
+    tangents = []
+    for n in range(1, count + 1):
+        t = (-1) ** (n - 1) * bernoulli[2 * n] * 4**n * (4**n - 1) / (2 * n)
+        assert t.denominator == 1, (n, t)
+        tangents.append(t.numerator)
+    return tangents
 
 
 def closed_form_constants(digits: int) -> tuple[Decimal, Decimal]:

@@ -18,12 +18,13 @@ from fal_spectrum import (
     best_rational_approximations,
     composition,
     replicate,
+    replication_error,
     target_ratio,
     vd,
     vd_mod,
     self_sum,
 )
-from fal_spectrum.numerics import two_v_oct
+from fal_spectrum.numerics import PrecisionContext, two_v_oct
 from helpers import make_link
 from oracles import best_error_upto
 
@@ -231,3 +232,41 @@ def test_monotone_refinement(ctx, l41):
 def test_vd_mode_rejects_bad_eps(ctx, l41):
     with pytest.raises(DomainError):
         approximate_vd(Decimal(9), l41, S10, Decimal("-1e-6"), ctx)
+
+
+# ---------------------------------------------------------------------------
+# anchors: a target on an anchor, or within tolerance just outside the interval
+
+@pytest.mark.parametrize("digits", [30, 60])
+@pytest.mark.parametrize(
+    "anchor,offset,expected",
+    [
+        ("S10", 0, (0, 1, 4000)),  # on the second anchor
+        ("S10", 1, (0, 1, 4000)),  # half a tolerance above vd_mod(S10), the interval's top
+        ("L41", -1, (1, 0, 14655)),  # half a tolerance below vd_mod(L41), the interval's bottom
+    ],
+)
+def test_anchor_recipes_in_both_modes(digits, anchor, offset, expected, l41):
+    ctx = PrecisionContext(digits)
+    link = S10 if anchor == "S10" else l41
+    alone = self_sum(link, 1)
+    half_tol = ctx.comparison_tolerance / 2
+    with ctx.working():
+        target = vd_mod(alone, ctx).evaluated + offset * half_tol
+    eps = Decimal("1e-3")
+    k, l, m = expected
+
+    recipe = approximate_vd_mod(target, l41, S10, eps, ctx)
+    assert (recipe.k, recipe.l, recipe.m, recipe.mode) == (k, l, 1, "vdmod")
+    assert recipe.composition == alone
+    assert recipe.achieved_vd_mod.exactly_equals(vd_mod(alone, ctx))
+    assert recipe.achieved_vd.exactly_equals(vd(alone, ctx))
+    assert recipe.error == abs(offset) * half_tol
+
+    # the least m whose replication gap vd_mod/(m*atilde+1) is below eps/2
+    recipe = approximate_vd(target, l41, S10, eps, ctx)
+    assert (recipe.k, recipe.l, recipe.m, recipe.mode) == (k, l, m, "vd")
+    assert recipe.composition == self_sum(link, m)
+    assert replication_error(alone, m, ctx) < eps / 2 <= replication_error(alone, m - 1, ctx)
+    assert recipe.achieved_vd.exactly_equals(vd(self_sum(link, m), ctx))
+    assert recipe.error < eps

@@ -240,6 +240,26 @@ def test_catalog_exponent_out_of_range(tmp_path, field):
     assert proc.stderr == f"error: links[0]: {field}: exponent out of range (at most 10000 in magnitude)\n"
 
 
+@pytest.mark.parametrize(
+    "argv,what",
+    [
+        (["classify", "--density", "1e999999999"], "density"),
+        (["classify", "--density", "1e-999999999"], "density"),
+        (["certify", "--density", "1e-999999999"], "density"),
+        (["approximate", "--l1", "L41", "--l2", "L41", "--target", "7.5", "--eps", "1e999999999"], "eps"),
+        (["approximate", "--l1", "L41", "--l2", "L41", "--target", "1e-999999999", "--eps", "1e-6"], "target"),
+    ],
+)
+def test_decimal_exponent_out_of_range(argv, what):
+    # Fraction would build 10**999999999 and eps/2 would overflow; a subprocess
+    # with a timeout keeps a regression from hanging the suite
+    proc = subprocess.run(
+        [sys.executable, "-m", "fal_spectrum", *argv], capture_output=True, text=True, timeout=30
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: {what}: exponent out of range (at most 10000 in magnitude)\n"
+
+
 def test_bounds_command(capsys):
     code, out, err = run_cli(capsys, "bounds", "--a", "3")
     assert code == 0, err

@@ -1,5 +1,5 @@
 """Lobachevsky series against the quadrature oracle, precision contracts,
-the exact Bernoulli table and the per-precision constant cache."""
+the exact tangent-number table and the per-precision constant cache."""
 
 import random
 import sys
@@ -23,11 +23,11 @@ from fal_spectrum.numerics import (
 )
 from helpers import pi_angle
 from oracles import (
-    bernoulli_recurrence,
     closed_form_constants,
     lobachevsky_quadrature,
     quadrature_v_oct,
     quadrature_v_tet,
+    tangent_numbers,
 )
 
 # Frozen from the quadrature oracle at 45 digits.
@@ -164,11 +164,9 @@ def test_derived_window_constants(ctx):
     assert two_v_oct(ctx) < ten_v_tet(ctx)
 
 
-def test_bernoulli_table_equals_fraction_recurrence():
+def test_tangent_table_equals_fraction_recurrence():
     numerics.clear_caches()
-    table = numerics._bernoulli_table(250)
-    reference = bernoulli_recurrence(500)
-    assert table[:250] == reference[2::2]
+    assert numerics._tangent_table(250)[:250] == tangent_numbers(250)
 
 
 def test_constants_match_closed_forms_at_300_digits():
@@ -178,15 +176,15 @@ def test_constants_match_closed_forms_at_300_digits():
     assert abs(v_tet(ctx) - vtet_ref) < ctx.comparison_tolerance
 
 
-def test_bernoulli_cache_concurrent_cold_builds():
+def test_tangent_cache_concurrent_cold_builds():
     digits = (30, 60, 120, 200, 300, 90)
     serial = {}
     longest = 0
     for d in digits:
         numerics.clear_caches()
         serial[d] = numerics.raw_constants(PrecisionContext(d))
-        longest = max(longest, len(numerics._bernoulli))
-    reference = bernoulli_recurrence(2 * longest)[2::2]
+        longest = max(longest, len(numerics._tangents))
+    reference = tangent_numbers(longest)
 
     numerics.clear_caches()
     done = threading.Event()
@@ -194,7 +192,7 @@ def test_bernoulli_cache_concurrent_cold_builds():
 
     def watch():
         while not done.is_set():
-            table = numerics._bernoulli
+            table = numerics._tangents
             published.setdefault(id(table), (table, len(table)))
 
     switch = sys.getswitchinterval()
