@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import islice
 
 from . import numerics
-from .calculus import DensityValue, composition, format_recipe, vd, vd_mod
+from .calculus import DensityValue, composition, densities, format_recipe
 from .catalog import Catalog, ExactVolume
 from .errors import CapExceededError, DomainError
 from .numerics import PrecisionContext
@@ -221,13 +221,14 @@ def spectrum_scan(
     rows = []
     for parts in multisets:
         c = composition(parts)
+        row_vd, row_vd_mod = densities(c, ctx)
         rows.append(
             ScanRow(
                 recipe=format_recipe(c),
                 a=c.atilde + 1,
                 atilde=c.atilde,
-                vd=vd(c, ctx),
-                vd_mod=vd_mod(c, ctx),
+                vd=row_vd,
+                vd_mod=row_vd_mod,
             )
         )
     rows.sort(key=lambda row: (row.vd.evaluated, row.recipe))

@@ -37,6 +37,7 @@ __all__ = [
     "augmentations",
     "belted_sum",
     "composition",
+    "densities",
     "exact_combo_string",
     "format_recipe",
     "modified_augmentations",
@@ -150,20 +151,27 @@ def exact_combo_string(
     return f"{c_oct}*voct+{c_tet}*vtet+{rem}"
 
 
-def _density(c: Composition, denominator: int, ctx: PrecisionContext) -> DensityValue:
+def _density(c: Composition, evaluated: Decimal, denominator: int, ctx: PrecisionContext) -> DensityValue:
+    """The density of ``c`` whose volume evaluates to ``evaluated``."""
     with ctx.working():
-        evaluated = c.volume.evaluate(ctx) / denominator
-    return DensityValue(c.volume, denominator, numerics.round_to(evaluated, ctx))
+        value = evaluated / denominator
+    return DensityValue(c.volume, denominator, numerics.round_to(value, ctx))
 
 
 def vd(c: Composition, ctx: PrecisionContext) -> DensityValue:
     """Volume density vol/a."""
-    return _density(c, c.atilde + 1, ctx)
+    return _density(c, c.volume.evaluate(ctx), c.atilde + 1, ctx)
 
 
 def vd_mod(c: Composition, ctx: PrecisionContext) -> DensityValue:
     """Modified volume density vol/(a-1)."""
-    return _density(c, c.atilde, ctx)
+    return _density(c, c.volume.evaluate(ctx), c.atilde, ctx)
+
+
+def densities(c: Composition, ctx: PrecisionContext) -> tuple[DensityValue, DensityValue]:
+    """(vd(c), vd_mod(c)) from one evaluation of the volume."""
+    evaluated = c.volume.evaluate(ctx)
+    return _density(c, evaluated, c.atilde + 1, ctx), _density(c, evaluated, c.atilde, ctx)
 
 
 def replication_error(c: Composition, m: int, ctx: PrecisionContext) -> Decimal:

@@ -54,7 +54,7 @@ def _coerce_fraction(value, what: str) -> Fraction:
     _check_exponent(value, what)
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise CatalogError(f"{what}: not a valid rational: {value!r}") from exc
 
 
@@ -63,9 +63,12 @@ def _decimal_string_fraction(text: str, what: str) -> Fraction:
         raise CatalogError(f"{what}: floats are not accepted, pass a decimal string")
     _check_exponent(text, what)
     try:
-        return Fraction(Decimal(text))
+        value = Decimal(text)
     except (InvalidOperation, ValueError, TypeError) as exc:
         raise CatalogError(f"{what}: not a valid decimal string: {text!r}") from exc
+    if not value.is_finite():
+        raise CatalogError(f"{what}: not a valid decimal string: {text!r}")
+    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -229,6 +232,8 @@ def load_catalog(source: str) -> Catalog:
         doc = json.loads(source)
     except json.JSONDecodeError as exc:
         raise CatalogError(f"malformed catalog JSON: {exc}") from exc
+    except RecursionError:
+        raise CatalogError("malformed catalog JSON: arrays or objects nested too deeply") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("links"), list):
         raise CatalogError('catalog document must be an object with a "links" array')
     entries = []
@@ -265,6 +270,10 @@ def load_catalog_file(path) -> Catalog:
             return load_catalog(handle.read())
     except OSError as exc:
         raise CatalogError(f"cannot read catalog {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CatalogError(
+            f"cannot read catalog {path!r}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
 
 
 def save_catalog(catalog: Catalog) -> str:

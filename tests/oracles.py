@@ -2,7 +2,9 @@
 
 The quadrature oracle integrates -log|2 sin t| directly with mpmath's
 tanh-sinh rule (which absorbs the endpoint log singularity); it shares
-no code or series with the package's evaluation path.  The Bernoulli
+no code or series with the package's evaluation path.  The reference
+constants come from mpmath's Catalan constant and trigamma function and
+decide correct rounding up to 1000 digits.  The Bernoulli
 recurrence is the package's former Fraction route; the tangent numbers
 derived from it check the package's integer tangent table exactly.  The
 rational oracle searches every denominator by brute force.  The volume
@@ -84,6 +86,17 @@ def closed_form_constants(digits: int) -> tuple[Decimal, Decimal]:
         voct = 4 * mpmath.catalan
         vtet = mpmath.clsin(2, mpmath.pi / 3)
         return _mpf_to_decimal(voct, digits + 10), _mpf_to_decimal(vtet, digits + 10)
+
+
+def reference_constants(digits: int) -> tuple[Decimal, Decimal, Decimal]:
+    """(v_oct, v_tet, pi) to ``digits`` significant digits, by mpmath:
+    4*Catalan, and v_tet from psi_1(1/3) - psi_1(2/3) = 4*sqrt(3)*v_tet,
+    which is about ten times faster than clsin at 1000 digits."""
+    with mpmath.workdps(digits + 15):
+        third = mpmath.mpf(1) / 3
+        vtet = (mpmath.psi(1, third) - mpmath.psi(1, 2 * third)) / (4 * mpmath.sqrt(3))
+        values = (4 * mpmath.catalan, vtet, mpmath.pi)
+        return tuple(_mpf_to_decimal(value, digits) for value in values)
 
 
 def best_error_upto(r: Fraction, max_denominator: int) -> Fraction:

@@ -236,7 +236,7 @@ def test_scan_refusal_is_prompt_and_builds_no_row(ctx, monkeypatch):
     # about 1.07e10 multisets fit the budget; only cap+1 may be walked
     cat = Catalog.from_links([make_link("A", c_oct=3, a=2), make_link("B", c_tet=9, a=2)])
     evaluated = []
-    monkeypatch.setattr(bounds, "vd", lambda c, ctx: evaluated.append(c))
+    monkeypatch.setattr(bounds, "densities", lambda c, ctx: evaluated.append(c))
     started = time.perf_counter()
     with pytest.raises(CapExceededError, match="more than 100000 rows"):
         spectrum_scan(cat, 4000, ctx)

@@ -82,6 +82,9 @@ def test_synthetic_pure_tet_entry(ctx):
         {"name": "B", "a": 2, "c_oct": "2", "extra": 1},  # unknown field
         {"a": 2, "c_oct": "2"},  # missing name
         {"name": "B", "c_oct": "2"},  # missing a
+        {"name": "B", "a": 2, "remainder": "Infinity"},  # non-finite decimal
+        {"name": "B", "a": 2, "remainder": "-inf"},  # non-finite decimal
+        {"name": "B", "a": 2, "remainder": "NaN"},  # non-finite decimal
     ],
 )
 def test_invalid_entries_rejected(entry):
@@ -194,6 +197,12 @@ def test_exact_volume_arithmetic():
 def test_exact_volume_rejects_floats():
     with pytest.raises(CatalogError):
         ExactVolume(c_oct=0.5)
+
+
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+def test_exact_volume_rejects_non_finite_decimals(value):
+    with pytest.raises(CatalogError, match="not a valid rational"):
+        ExactVolume(remainder=Decimal(value))
 
 
 def test_volume_must_be_positive():

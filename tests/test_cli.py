@@ -164,6 +164,28 @@ def test_validate_bad_catalog_exits_one(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        (b"[" * 100_000, "malformed catalog JSON: arrays or objects nested too deeply"),
+        (b'{"links": [{"name": "X\xff", "a": 2}]}', "not UTF-8 text (invalid start byte at byte 22)"),
+        (b'{"links": [{"name": "X", "a": 2, "remainder": "Infinity"}]}', "not a valid decimal string: 'Infinity'"),
+        (b'{"links": [{"name": "X", "a": 2, "remainder": "-inf"}]}', "not a valid decimal string: '-inf'"),
+    ],
+    ids=["deep-nesting", "not-utf8", "infinity", "minus-inf"],
+)
+def test_unreadable_catalog_is_one_error_line(tmp_path, content, message):
+    path = tmp_path / "links.json"
+    path.write_bytes(content)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fal_spectrum", "validate", str(path)],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+    assert message in proc.stderr
+
+
 def test_validate_missing_file(capsys):
     code, _, err = run_cli(capsys, "validate", "/nonexistent/links.json")
     assert code == 1

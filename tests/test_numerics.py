@@ -1,11 +1,12 @@
 """Lobachevsky series against the quadrature oracle, precision contracts,
-the exact tangent-number table and the per-precision constant cache."""
+correct rounding and proven enclosures of the constants, the exact
+tangent-number table and the per-precision constant cache."""
 
 import random
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from decimal import Decimal
+from decimal import Context, Decimal
 
 import pytest
 
@@ -27,6 +28,7 @@ from oracles import (
     lobachevsky_quadrature,
     quadrature_v_oct,
     quadrature_v_tet,
+    reference_constants,
     tangent_numbers,
 )
 
@@ -166,7 +168,11 @@ def test_derived_window_constants(ctx):
 
 def test_tangent_table_equals_fraction_recurrence():
     numerics.clear_caches()
-    assert numerics._tangent_table(250)[:250] == tangent_numbers(250)
+    ctx = PrecisionContext(160)
+    lobachevsky(pi_angle(ctx, 1, 2), ctx)
+    table = numerics._tangents
+    assert len(table) >= 250
+    assert table == tangent_numbers(len(table))
 
 
 def test_constants_match_closed_forms_at_300_digits():
@@ -176,13 +182,19 @@ def test_constants_match_closed_forms_at_300_digits():
     assert abs(v_tet(ctx) - vtet_ref) < ctx.comparison_tolerance
 
 
+def _lambda_pair(digits):
+    """(Lambda(pi/4), Lambda(pi/6)), which build the shared tangent table."""
+    ctx = PrecisionContext(digits)
+    return lobachevsky(pi_angle(ctx, 1, 4), ctx), lobachevsky(pi_angle(ctx, 1, 6), ctx)
+
+
 def test_tangent_cache_concurrent_cold_builds():
     digits = (30, 60, 120, 200, 300, 90)
     serial = {}
     longest = 0
     for d in digits:
         numerics.clear_caches()
-        serial[d] = numerics.raw_constants(PrecisionContext(d))
+        serial[d] = _lambda_pair(d)
         longest = max(longest, len(numerics._tangents))
     reference = tangent_numbers(longest)
 
@@ -201,7 +213,7 @@ def test_tangent_cache_concurrent_cold_builds():
     watcher.start()
     try:
         with ThreadPoolExecutor(max_workers=len(digits)) as pool:
-            cold = pool.map(lambda d: numerics.raw_constants(PrecisionContext(d)), digits, timeout=60)
+            cold = pool.map(_lambda_pair, digits, timeout=60)
             results = dict(zip(digits, cold))
     finally:
         done.set()
@@ -214,3 +226,105 @@ def test_tangent_cache_concurrent_cold_builds():
         # published whole and never mutated afterwards
         assert len(table) == length
         assert table == reference[:length]
+
+
+# ---------------------------------------------------------------------------
+# Correct rounding against mpmath, and the proven enclosures behind it
+
+REFERENCE_DIGITS = 1010
+# The reference is rounded to 1010 digits; a rounding it decides must not
+# change anywhere within this distance of it.
+REFERENCE_SLACK = Decimal("1e-1005")
+_WIDE = Context(prec=2 * REFERENCE_DIGITS)
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """(v_oct, v_tet, pi) from mpmath to REFERENCE_DIGITS digits."""
+    return reference_constants(REFERENCE_DIGITS)
+
+
+def _correctly_rounded(value: Decimal, digits: int) -> Decimal:
+    context = Context(prec=digits)
+    below = context.plus(_WIDE.subtract(value, REFERENCE_SLACK))
+    above = context.plus(_WIDE.add(value, REFERENCE_SLACK))
+    assert below == above, f"the reference cannot decide the rounding at {digits} digits"
+    return below
+
+
+def _constants_cold(digits: int) -> tuple[Decimal, ...]:
+    numerics.clear_caches()
+    ctx = PrecisionContext(digits)
+    return v_oct(ctx), v_tet(ctx), two_v_oct(ctx), ten_v_tet(ctx)
+
+
+def _expected(reference, digits: int) -> tuple[Decimal, ...]:
+    voct, vtet, _ = reference
+    exact = (voct, vtet, _WIDE.multiply(2, voct), _WIDE.multiply(10, vtet))
+    return tuple(_correctly_rounded(value, digits) for value in exact)
+
+
+def test_constants_correctly_rounded_from_20_to_400_digits(reference):
+    wrong = [
+        (digits, label)
+        for digits in range(20, 401)
+        for label, got, want in zip(
+            ("v_oct", "v_tet", "2*v_oct", "10*v_tet"), _constants_cold(digits), _expected(reference, digits)
+        )
+        if got != want
+    ]
+    assert wrong == []
+
+
+@pytest.mark.parametrize("digits", [500, 700, 1000])
+def test_constants_correctly_rounded_at_high_precision(reference, digits):
+    assert _constants_cold(digits) == _expected(reference, digits)
+
+
+def test_pi_correctly_rounded(reference):
+    wrong = [
+        digits
+        for digits in range(20, 1001)
+        if pi(PrecisionContext(digits)) != _correctly_rounded(reference[2], digits)
+    ]
+    assert wrong == []
+
+
+def test_ziv_retries_keep_correct_rounding(reference, monkeypatch):
+    # One guard digit is too few for the proven bounds, so most sums are redone.
+    calls = []
+    enclosures = numerics._enclosures
+
+    def counted(frac):
+        calls.append(frac)
+        return enclosures(frac)
+
+    monkeypatch.setattr(numerics, "_GUARD", 1)
+    monkeypatch.setattr(numerics, "_enclosures", counted)
+    digits = range(20, 81)
+    for d in digits:
+        assert _constants_cold(d) == _expected(reference, d)
+    assert len(calls) > len(digits)
+
+
+def test_proven_enclosures_contain_reference(reference):
+    # Every scale in 20..400: an error bound that misses a few units of
+    # rounding error shows up at some of them.
+    voct, vtet, pi_ref = reference
+    for frac in (*range(20, 401), 700, 1000):
+        p, err = numerics._pi_scaled(frac)
+        for label, (lo, hi), value in zip(
+            ("v_oct", "v_tet", "pi"), (*numerics._enclosures(frac), (p - err, p + err)), (voct, vtet, pi_ref)
+        ):
+            assert lo < _WIDE.scaleb(value, frac) < hi, (label, frac)
+            assert hi - lo < 20 * frac  # the bounds stay tight enough for Ziv's test
+
+
+@pytest.mark.parametrize("digits", [20, 30, 60, 150, 300])
+def test_lobachevsky_cross_checks_constants(digits):
+    ctx = PrecisionContext(digits)
+    with ctx.working():
+        voct = 8 * lobachevsky(pi_angle(ctx, 1, 4), ctx)
+        vtet = 2 * lobachevsky(pi_angle(ctx, 1, 6), ctx)
+    assert abs(voct - v_oct(ctx)) < ctx.comparison_tolerance
+    assert abs(vtet - v_tet(ctx)) < ctx.comparison_tolerance
