@@ -38,7 +38,7 @@ from .calculus import (
 )
 from .catalog import BaseLink
 from .errors import CapExceededError, DegeneratePairError, DomainError, TargetRangeError
-from .numerics import PrecisionContext, check_exponent
+from .numerics import PrecisionContext, parse_count, parse_decimal, parse_rational
 
 __all__ = [
     "DEFAULT_MAX_DENOMINATOR",
@@ -80,9 +80,7 @@ class Recipe:
 def _as_decimal(value, what: str) -> Decimal:
     if isinstance(value, DensityValue):
         return value.evaluated
-    if isinstance(value, float):
-        raise DomainError("densities must be Decimal, not float")
-    return check_exponent(Decimal(value), what)
+    return parse_decimal(value, what)
 
 
 def alpha_for_target(target, v1, v2, ctx: PrecisionContext) -> Fraction:
@@ -102,13 +100,14 @@ def alpha_for_target(target, v1, v2, ctx: PrecisionContext) -> Fraction:
 
 def target_ratio(alpha: Fraction, atilde1: int, atilde2: int) -> Fraction:
     """Ratio r that k/l must approach so the weights mix as alpha : 1-alpha."""
+    alpha = parse_rational(alpha, "alpha")
     if not 0 < alpha < 1:
         raise DomainError(
             f"mixing weight must be strictly between 0 and 1, got {alpha} "
             "(endpoints are pure self-sums of one link)"
         )
-    if atilde1 < 1 or atilde2 < 1:
-        raise DomainError("modified augmentation counts must be positive")
+    parse_count(atilde1, "atilde1")
+    parse_count(atilde2, "atilde2")
     return Fraction(atilde2) * alpha / (Fraction(atilde1) * (1 - alpha))
 
 
@@ -121,13 +120,10 @@ def best_rational_approximations(r, max_denominator: int = DEFAULT_MAX_DENOMINAT
     that the next convergent (same denominator 1) supersedes is dropped,
     as are zero-numerator convergents of r < 1.
     """
-    if isinstance(r, float):
-        raise DomainError("pass the ratio as Fraction, Decimal or string, not float")
-    value = Fraction(r)
+    value = parse_rational(r, "ratio")
     if value <= 0:
         raise DomainError(f"ratio must be positive, got {r}")
-    if not isinstance(max_denominator, int) or max_denominator < 1:
-        raise DomainError(f"max_denominator must be a positive integer, got {max_denominator!r}")
+    parse_count(max_denominator, "max_denominator")
 
     convergents: list[Fraction] = []
     h_prev, h = 0, 1  # numerator recurrence seeds p_{n-2}, p_{n-1}
@@ -179,6 +175,7 @@ def approximate_vd_mod(
     or an anchor link alone when it sits within tolerance of the target."""
     target = _as_decimal(target, "target")
     eps = _as_decimal(eps, "eps")
+    parse_count(max_denominator, "max_denominator")
     if eps <= 0:
         raise DomainError(f"tolerance must be positive, got {eps}")
     tol = ctx.comparison_tolerance

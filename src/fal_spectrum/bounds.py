@@ -21,7 +21,6 @@ import enum
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import islice
 
 from . import numerics
 from .calculus import DensityValue, composition, densities, format_recipe
@@ -62,20 +61,15 @@ class Certificate:
     statement: str
 
 
-def _check_augmentations(a: int) -> None:
-    if not isinstance(a, int) or isinstance(a, bool) or a < 2:
-        raise DomainError(f"augmentation count must be an integer >= 2, got {a!r}")
-
-
 def euler_characteristic(a: int) -> int:
     """chi = 1 - a for either half of the cut-open complement."""
-    _check_augmentations(a)
+    numerics.parse_count(a, "augmentation count", 2)
     return 1 - a
 
 
 def miyamoto_volume_lower_bound(a: int, ctx: PrecisionContext) -> Decimal:
     """2*(a-1)*v_oct, attained exactly by octahedral decompositions."""
-    _check_augmentations(a)
+    numerics.parse_count(a, "augmentation count", 2)
     voct, _ = numerics.raw_constants(ctx)
     with ctx.working():
         return numerics.round_to(2 * (a - 1) * voct, ctx)
@@ -83,7 +77,7 @@ def miyamoto_volume_lower_bound(a: int, ctx: PrecisionContext) -> Decimal:
 
 def vd_lower_bound(a: int, ctx: PrecisionContext) -> Decimal:
     """2*v_oct*(a-1)/a; strictly increasing in a with supremum 2*v_oct."""
-    _check_augmentations(a)
+    numerics.parse_count(a, "augmentation count", 2)
     voct, _ = numerics.raw_constants(ctx)
     with ctx.working():
         return numerics.round_to(2 * voct * (a - 1) / a, ctx)
@@ -95,12 +89,7 @@ def _density_parts(value) -> tuple[Fraction, Fraction, Fraction]:
         return value.exact_parts()
     if isinstance(value, ExactVolume):
         return value.components()
-    if isinstance(value, float):
-        raise DomainError("densities must be Decimal (or exact forms), not float")
-    if isinstance(value, (Decimal, int, str)):
-        decimal = numerics.check_exponent(Decimal(value), "density")
-        return (Fraction(0), Fraction(0), Fraction(decimal))
-    raise DomainError(f"cannot interpret {value!r} as a density")
+    return (Fraction(0), Fraction(0), Fraction(numerics.parse_decimal(value, "density")))
 
 
 def _sign_against(parts, oct_coeff: int, tet_coeff: int, ctx: PrecisionContext) -> int:
@@ -211,13 +200,15 @@ def spectrum_scan(
 
     Raises CapExceededError as soon as a row past ``max_rows`` turns up,
     before any row is evaluated."""
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
-        raise DomainError(f"budget must be a positive integer, got {budget!r}")
-    multisets = list(islice(_multisets(catalog, budget), max_rows + 1))
-    if len(multisets) > max_rows:
-        raise CapExceededError(
-            f"scan with budget {budget} would emit more than {max_rows} rows (the cap)"
-        )
+    numerics.parse_count(budget, "budget")
+    numerics.parse_count(max_rows, "max_rows")
+    multisets = []
+    for parts in _multisets(catalog, budget):
+        if len(multisets) == max_rows:
+            raise CapExceededError(
+                f"scan with budget {budget} would emit more than {max_rows} rows (the cap)"
+            )
+        multisets.append(parts)
     rows = []
     for parts in multisets:
         c = composition(parts)

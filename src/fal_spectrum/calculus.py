@@ -61,10 +61,6 @@ class Composition:
     atilde: int = field(compare=False)
 
 
-def _is_positive_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
 def composition(parts: Mapping[BaseLink, int] | Iterable[tuple[BaseLink, int]]) -> Composition:
     items = parts.items() if isinstance(parts, Mapping) else parts
     merged: dict[BaseLink, int] = {}
@@ -73,12 +69,15 @@ def composition(parts: Mapping[BaseLink, int] | Iterable[tuple[BaseLink, int]]) 
     for link, multiplicity in items:
         if not isinstance(link, BaseLink):
             raise DomainError(f"composition parts must be BaseLink, got {type(link).__name__}")
-        if not _is_positive_int(multiplicity):
-            raise DomainError(f"multiplicity for {link.name} must be a positive integer")
+        numerics.parse_count(multiplicity, f"multiplicity for {link.name}")
         merged[link] = merged.get(link, 0) + multiplicity
-        c_oct += link.volume.c_oct * multiplicity
-        c_tet += link.volume.c_tet * multiplicity
-        remainder += link.volume.remainder * multiplicity
+        part = link.volume
+        if part.c_oct:
+            c_oct += part.c_oct * multiplicity
+        if part.c_tet:
+            c_tet += part.c_tet * multiplicity
+        if part.remainder:
+            remainder += part.remainder * multiplicity
         atilde += link.atilde * multiplicity
     if not merged:
         raise DomainError("a composition needs at least one part")
@@ -98,8 +97,7 @@ def self_sum(link: BaseLink, k: int) -> Composition:
 
 def replicate(c: Composition, m: int) -> Composition:
     """m copies of the whole composition."""
-    if not _is_positive_int(m):
-        raise DomainError(f"replication count must be a positive integer, got {m!r}")
+    numerics.parse_count(m, "replication count")
     return composition({link: k * m for link, k in c.parts})
 
 
@@ -176,8 +174,7 @@ def densities(c: Composition, ctx: PrecisionContext) -> tuple[DensityValue, Dens
 
 def replication_error(c: Composition, m: int, ctx: PrecisionContext) -> Decimal:
     """Exact gap vd_mod(c^(m)) - vd(c^(m)) = vd_mod(c) / (m * (a-1) + 1)."""
-    if not _is_positive_int(m):
-        raise DomainError(f"replication count must be a positive integer, got {m!r}")
+    numerics.parse_count(m, "replication count")
     with ctx.working():
         gap = c.volume.evaluate(ctx) / (c.atilde * (m * c.atilde + 1))
     return numerics.round_to(gap, ctx)
@@ -201,8 +198,6 @@ def parse_recipe(text: str, catalog: Catalog) -> Composition:
                 raise DomainError(f"bad multiplicity in recipe part {token!r}") from None
         else:
             multiplicity = 1
-        if multiplicity < 1:
-            raise DomainError(f"multiplicity must be positive in recipe part {token!r}")
         parts.append((catalog[name], multiplicity))
     return composition(parts)
 

@@ -15,12 +15,12 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterator
 
 from . import numerics
-from .errors import CatalogError
+from .errors import CatalogError, DomainError
 from .numerics import PrecisionContext
 
 __all__ = [
@@ -35,40 +35,15 @@ __all__ = [
     "validate_entry",
 ]
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-# The exponent written at the end of a number string, as in "1.5e-3".
-_EXPONENT_RE = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def _check_exponent(value, what: str) -> None:
-    """Refuse a string whose written exponent exceeds numerics.MAX_EXPONENT,
-    before Fraction builds 10**exponent from it."""
-    match = _EXPONENT_RE.search(value) if isinstance(value, str) else None
-    if match and abs(Decimal(match.group(1))) > numerics.MAX_EXPONENT:
-        raise CatalogError(f"{what}: exponent out of range (at most {numerics.MAX_EXPONENT} in magnitude)")
-
-
-def _coerce_fraction(value, what: str) -> Fraction:
-    if isinstance(value, float):
-        raise CatalogError(f"{what}: floats are not accepted, pass a string or Fraction")
-    _check_exponent(value, what)
+def _parsed(parse, value, what: str, *args):
+    """``parse(value, what, *args)``, a numerics input check, refusing with CatalogError."""
     try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
-        raise CatalogError(f"{what}: not a valid rational: {value!r}") from exc
-
-
-def _decimal_string_fraction(text: str, what: str) -> Fraction:
-    if isinstance(text, float):
-        raise CatalogError(f"{what}: floats are not accepted, pass a decimal string")
-    _check_exponent(text, what)
-    try:
-        value = Decimal(text)
-    except (InvalidOperation, ValueError, TypeError) as exc:
-        raise CatalogError(f"{what}: not a valid decimal string: {text!r}") from exc
-    if not value.is_finite():
-        raise CatalogError(f"{what}: not a valid decimal string: {text!r}")
-    return Fraction(value)
+        return parse(value, what, *args)
+    except DomainError as exc:
+        raise CatalogError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -87,7 +62,7 @@ class ExactVolume:
 
     def __post_init__(self) -> None:
         for name in ("c_oct", "c_tet", "remainder"):
-            value = _coerce_fraction(getattr(self, name), name)
+            value = _parsed(numerics.parse_rational, getattr(self, name), name)
             if value < 0:
                 raise CatalogError(f"{name} must be nonnegative, got {value}")
             object.__setattr__(self, name, value)
@@ -95,11 +70,7 @@ class ExactVolume:
     @classmethod
     def from_fields(cls, c_oct="0", c_tet="0", remainder="0") -> "ExactVolume":
         """Build from the file-format fields (rationals as "p/q", decimal remainder)."""
-        return cls(
-            _coerce_fraction(c_oct, "c_oct"),
-            _coerce_fraction(c_tet, "c_tet"),
-            _decimal_string_fraction(remainder, "remainder"),
-        )
+        return cls(c_oct, c_tet, Fraction(_parsed(numerics.parse_decimal, remainder, "remainder")))
 
     def is_zero(self) -> bool:
         return not (self.c_oct or self.c_tet or self.remainder)
@@ -144,11 +115,9 @@ class BaseLink:
     note: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not _NAME_RE.match(self.name):
+        if not isinstance(self.name, str) or not _NAME_RE.fullmatch(self.name):
             raise CatalogError(f"link name must be an identifier, got {self.name!r}")
-        a = self.augmentations
-        if not isinstance(a, int) or isinstance(a, bool) or a < 2:
-            raise CatalogError(f"{self.name}: augmentation count must be an integer >= 2, got {a!r}")
+        _parsed(numerics.parse_count, self.augmentations, f"{self.name}: augmentation count", 2)
         if not isinstance(self.volume, ExactVolume):
             raise CatalogError(f"{self.name}: volume must be an ExactVolume")
         if self.volume.is_zero():

@@ -64,9 +64,15 @@ on them.
 
 Everything evaluated here and elsewhere in the package is a
 ``decimal.Decimal`` carrying ``digits`` significant digits; internal
-arithmetic runs with a fixed number of guard digits and results are
-rounded once at the end.  Constants are cached per precision and the
-cache is safe for concurrent readers.
+arithmetic runs with guard digits and rounds to ``digits`` at the end.
+The public constants are rounded twice, to working precision and then to
+``digits``, and Ziv's test above guards the second rounding.  Constants
+are cached per precision and the cache is safe for concurrent readers.
+
+Every number and count a caller passes in enters through ``parse_decimal``,
+``parse_rational`` or ``parse_count``: no floats, only finite numbers with
+an exponent of at most MAX_EXPONENT in magnitude, and counts that are ints
+(not bools) at or above a minimum.  Anything else is a DomainError.
 """
 
 from __future__ import annotations
@@ -74,7 +80,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -87,11 +93,13 @@ __all__ = [
     "MAX_EXPONENT",
     "MIN_DIGITS",
     "PrecisionContext",
-    "check_exponent",
     "combination",
     "exact_decimal_string",
     "fraction_to_decimal",
     "lobachevsky",
+    "parse_count",
+    "parse_decimal",
+    "parse_rational",
     "pi",
     "raw_constants",
     "round_to",
@@ -104,7 +112,9 @@ __all__ = [
 DEFAULT_DIGITS = 30
 MIN_DIGITS = 20
 MAX_DIGITS = 1000  # cold constants at 1000 digits: about 10 ms (Python 3.11, 2-core Xeon)
-MAX_EXPONENT = 10_000  # largest exponent of a catalog number or decimal input; "1eN" builds 10**N
+# Largest exponent, in magnitude, of a number passed in (catalog, command line or
+# API); it is the Decimal's own, so "1.5e-10000" has -10001.  "1eN" builds 10**N.
+MAX_EXPONENT = 10_000
 GUARD_DIGITS = 5
 _GUARD = 10  # first extra digits of a fixed-point sum; doubled until Ziv's test passes
 
@@ -129,12 +139,10 @@ class PrecisionContext:
     digits: int = DEFAULT_DIGITS
 
     def __post_init__(self) -> None:
-        if not isinstance(self.digits, int) or isinstance(self.digits, bool):
-            raise ConfigurationError(f"precision must be an integer, got {self.digits!r}")
-        if self.digits < MIN_DIGITS:
-            raise ConfigurationError(
-                f"precision must be at least {MIN_DIGITS} digits, got {self.digits}"
-            )
+        try:
+            parse_count(self.digits, "precision", MIN_DIGITS)
+        except DomainError as exc:
+            raise ConfigurationError(str(exc)) from None
         if self.digits > MAX_DIGITS:
             raise ConfigurationError(
                 f"precision must be at most {MAX_DIGITS} digits, got {self.digits}"
@@ -161,11 +169,52 @@ def _context(prec: int) -> Context:
     return Context(prec=prec)
 
 
-def check_exponent(value: Decimal, what: str) -> Decimal:
-    """``value``, refused if its exponent exceeds MAX_EXPONENT in magnitude,
-    before Fraction(value) builds 10**exponent or a quotient overflows."""
-    if value.is_finite() and abs(value.as_tuple().exponent) > MAX_EXPONENT:
+# ---------------------------------------------------------------------------
+# The input boundary: every number and count a caller passes in
+
+def _finite_decimal(value, what: str, noun: str) -> Decimal:
+    if isinstance(value, float):
+        raise DomainError(f"{what}: floats are not accepted: {value!r}")
+    try:
+        number = Decimal(value)
+    except (InvalidOperation, ValueError, TypeError):
+        number = None
+    if number is None or not number.is_finite():
+        raise DomainError(f"{what}: not a valid {noun}: {value!r}")
+    if abs(number.as_tuple().exponent) > MAX_EXPONENT:
         raise DomainError(f"{what}: exponent out of range (at most {MAX_EXPONENT} in magnitude)")
+    return number
+
+
+def parse_decimal(value, what: str) -> Decimal:
+    """``value`` as a finite Decimal whose exponent is at most MAX_EXPONENT in
+    magnitude, so Fraction(value) never builds a huge power of ten.  A float,
+    anything Decimal() cannot parse and a non-finite value are refused."""
+    return _finite_decimal(value, what, "decimal string")
+
+
+def parse_rational(value, what: str) -> Fraction:
+    """``value`` as a Fraction: an int or Fraction as it is, a "p/q" string by
+    Fraction's grammar (which allows no exponent after the "/"), anything
+    else by the rules of parse_decimal."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str) and "/" in value:
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(f"{what}: not a valid rational: {value!r}") from None
+    return Fraction(_finite_decimal(value, what, "rational"))
+
+
+def parse_count(value, what: str, minimum: int = 1) -> int:
+    """``value`` if it is an int (not a bool) of at least ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{what} must be at least {minimum}, got {value}")
     return value
 
 
@@ -338,9 +387,7 @@ def _series_terms(theta: Decimal, ratio_sq: Decimal, target: Decimal) -> int:
 
 def lobachevsky(theta: Decimal, ctx: PrecisionContext) -> Decimal:
     """Lambda(theta) for 0 < theta <= pi/2, rounded to ``ctx.digits``."""
-    if not isinstance(theta, Decimal):
-        theta = Decimal(theta)
-    return round_to(_lobachevsky_raw(theta, ctx), ctx)
+    return round_to(_lobachevsky_raw(parse_decimal(theta, "theta"), ctx), ctx)
 
 
 # ---------------------------------------------------------------------------

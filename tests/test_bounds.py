@@ -34,7 +34,7 @@ def test_euler_characteristic(a, chi):
     assert euler_characteristic(a) == chi
 
 
-@pytest.mark.parametrize("bad", [1, 0, -5, 2.0, "3"])
+@pytest.mark.parametrize("bad", [1, 0, -5, 2.0, "3", True])
 def test_augmentation_domain(bad, ctx):
     with pytest.raises(DomainError):
         euler_characteristic(bad)

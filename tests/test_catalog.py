@@ -85,6 +85,8 @@ def test_synthetic_pure_tet_entry(ctx):
         {"name": "B", "a": 2, "remainder": "Infinity"},  # non-finite decimal
         {"name": "B", "a": 2, "remainder": "-inf"},  # non-finite decimal
         {"name": "B", "a": 2, "remainder": "NaN"},  # non-finite decimal
+        {"name": "A\n", "a": 2, "c_oct": "2"},  # trailing newline after an identifier
+        {"name": "B", "a": True, "c_oct": "2"},  # a bool is not a count
     ],
 )
 def test_invalid_entries_rejected(entry):

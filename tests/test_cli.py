@@ -171,8 +171,9 @@ def test_validate_bad_catalog_exits_one(capsys, tmp_path):
         (b'{"links": [{"name": "X\xff", "a": 2}]}', "not UTF-8 text (invalid start byte at byte 22)"),
         (b'{"links": [{"name": "X", "a": 2, "remainder": "Infinity"}]}', "not a valid decimal string: 'Infinity'"),
         (b'{"links": [{"name": "X", "a": 2, "remainder": "-inf"}]}', "not a valid decimal string: '-inf'"),
+        (b'{"links": [{"name": "A\\n", "a": 2, "c_oct": "2"}]}', "link name must be an identifier, got 'A\\n'"),
     ],
-    ids=["deep-nesting", "not-utf8", "infinity", "minus-inf"],
+    ids=["deep-nesting", "not-utf8", "infinity", "minus-inf", "name-newline"],
 )
 def test_unreadable_catalog_is_one_error_line(tmp_path, content, message):
     path = tmp_path / "links.json"
@@ -339,6 +340,12 @@ def test_scan_cap_flag(capsys, catalog_file):
     code, _, err = run_cli(capsys, "scan", catalog_file, "--budget", "40", "--cap", "5")
     assert code == 1
     assert "cap" in err
+
+
+def test_scan_cap_beyond_sys_maxsize(capsys):
+    code, out, err = run_cli(capsys, "scan", "--budget", "3", "--cap", str(10**20))
+    assert code == 0, err
+    assert len(out.splitlines()) == 4  # header + 3 rows
 
 
 def test_usage_errors_exit_two(capsys):

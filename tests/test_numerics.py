@@ -47,7 +47,7 @@ def test_context_invariants(ctx):
     assert ctx.comparison_tolerance > 0
 
 
-@pytest.mark.parametrize("bad", [19, 0, -3, 2.5, "30"])
+@pytest.mark.parametrize("bad", [19, 0, -3, 2.5, "30", True])
 def test_precision_floor_rejected(bad):
     with pytest.raises(ConfigurationError):
         PrecisionContext(bad)
