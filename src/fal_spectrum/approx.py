@@ -16,6 +16,13 @@ modified density by exactly vd_mod/(m*atilde+1) after replicating the
 whole recipe m times, so targets for vd are reached by first matching
 vd_mod to half the tolerance and then replicating until the remaining
 gap fits in the other half.
+
+Each candidate (k, l) is tested on integer totals: once per search, every
+volume component of the two anchors is put over one common denominator D,
+so k copies of L1 and l of L2 total (k*n1 + l*n2)/D exactly, and the
+modified density is evaluated from those integers with the Decimal
+operations of calculus.vd_mod, giving the same digits.  Only the recipe
+that is returned becomes a Composition.
 """
 
 from __future__ import annotations
@@ -29,16 +36,14 @@ from .calculus import (
     Composition,
     DensityValue,
     composition,
+    densities,
     format_recipe,
     replicate,
     replication_error,
-    self_sum,
-    vd,
-    vd_mod,
 )
 from .catalog import BaseLink
 from .errors import CapExceededError, DegeneratePairError, DomainError, TargetRangeError
-from .numerics import PrecisionContext, parse_count, parse_decimal, parse_rational
+from .numerics import PrecisionContext, parse_count, parse_decimal, parse_rational, raw_constants, round_to
 
 __all__ = [
     "DEFAULT_MAX_DENOMINATOR",
@@ -85,7 +90,11 @@ def _as_decimal(value, what: str) -> Decimal:
 
 def alpha_for_target(target, v1, v2, ctx: PrecisionContext) -> Fraction:
     """Exact mixing weight alpha with target = alpha*v1 + (1-alpha)*v2."""
-    t, d1, d2 = _as_decimal(target, "target"), _as_decimal(v1, "v1"), _as_decimal(v2, "v2")
+    return _mixing_weight(_as_decimal(target, "target"), _as_decimal(v1, "v1"), _as_decimal(v2, "v2"), ctx)
+
+
+def _mixing_weight(t: Decimal, d1: Decimal, d2: Decimal, ctx: PrecisionContext) -> Fraction:
+    """alpha_for_target on decimals already checked or computed here."""
     tol = ctx.comparison_tolerance
     if abs(d1 - d2) <= tol:
         raise DegeneratePairError(
@@ -146,21 +155,42 @@ def best_rational_approximations(r, max_denominator: int = DEFAULT_MAX_DENOMINAT
     return convergents
 
 
+def _vd_mod_evaluator(link1: BaseLink, link2: BaseLink, ctx: PrecisionContext):
+    """(k, l) -> the evaluated vd_mod of k copies of link1 and l of link2,
+    digit for digit, from integer totals over common denominators."""
+    voct, vtet = raw_constants(ctx)
+    totals = []  # per component: link1's and link2's numerators over the common denominator
+    for x, y in zip(link1.volume.components(), link2.volume.components()):
+        d = math.lcm(x.denominator, y.denominator)
+        totals.append((x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), Decimal(d)))
+    atilde1, atilde2 = link1.atilde, link2.atilde
+
+    def value(k: int, l: int) -> Decimal:
+        # numerics.combination, then calculus._density, operation for operation.
+        # Decimal(int) is exact and division correctly rounded, so the
+        # unreduced n/D gives the digits of the reduced Fraction.
+        with ctx.working():
+            c_oct, c_tet, remainder = (Decimal(k * n1 + l * n2) / d for n1, n2, d in totals)
+            volume = c_oct * voct + c_tet * vtet + remainder
+            return round_to(volume / (k * atilde1 + l * atilde2), ctx)
+
+    return value
+
+
 def _candidates(
     target: Decimal, link1: BaseLink, link2: BaseLink, ctx: PrecisionContext, max_denominator: int
 ):
-    """(k, l, composition, vd_mod) in search order: each anchor link alone,
-    then k copies of link1 and l of link2 for each convergent k/l of the
-    mixing ratio.  The ratio is formed only once both anchors are refused."""
-    c1, c2 = self_sum(link1, 1), self_sum(link2, 1)
-    v1, v2 = vd_mod(c1, ctx), vd_mod(c2, ctx)
-    yield 1, 0, c1, v1
-    yield 0, 1, c2, v2
-    ratio = target_ratio(alpha_for_target(target, v1, v2, ctx), link1.atilde, link2.atilde)
+    """(k, l, vd_mod of k copies of link1 and l of link2) in search order:
+    each anchor link alone, then each convergent k/l of the mixing ratio.
+    The ratio is formed only once both anchors are refused."""
+    value = _vd_mod_evaluator(link1, link2, ctx)
+    v1, v2 = value(1, 0), value(0, 1)
+    yield 1, 0, v1
+    yield 0, 1, v2
+    ratio = target_ratio(_mixing_weight(target, v1, v2, ctx), link1.atilde, link2.atilde)
     for convergent in best_rational_approximations(ratio, max_denominator):
         k, l = convergent.numerator, convergent.denominator
-        c = composition({link1: k, link2: l})
-        yield k, l, c, vd_mod(c, ctx)
+        yield k, l, value(k, l)
 
 
 def approximate_vd_mod(
@@ -185,17 +215,19 @@ def approximate_vd_mod(
             f"only tolerances above {tol}; raise the precision"
         )
     with ctx.working():
-        for k, l, c, achieved in _candidates(target, link1, link2, ctx, max_denominator):
-            error = abs(achieved.evaluated - target)
+        for k, l, achieved in _candidates(target, link1, link2, ctx, max_denominator):
+            error = abs(achieved - target)
             # an anchor alone (k or l zero) is taken only within tol, which is below eps
             if (error < eps if k and l else error <= tol):
+                c = composition([(link, n) for link, n in ((link1, k), (link2, l)) if n])
+                achieved_vd, achieved_vd_mod = densities(c, ctx)
                 return Recipe(
                     k=k,
                     l=l,
                     m=1,
                     composition=c,
-                    achieved_vd_mod=achieved,
-                    achieved_vd=vd(c, ctx),
+                    achieved_vd_mod=achieved_vd_mod,
+                    achieved_vd=achieved_vd,
                     error=error,
                     target=target,
                     mode="vdmod",
@@ -235,12 +267,12 @@ def approximate_vd(
         while replication_error(core, m, ctx) >= half:  # rounding safety; rarely taken
             m += 1
         expanded = core if m == 1 else replicate(core, m)
-        achieved_vd = vd(expanded, ctx)
+        achieved_vd, achieved_vd_mod = densities(expanded, ctx)
         return replace(
             base,
             m=m,
             composition=expanded,
-            achieved_vd_mod=vd_mod(expanded, ctx),
+            achieved_vd_mod=achieved_vd_mod,
             achieved_vd=achieved_vd,
             error=abs(achieved_vd.evaluated - target),
             mode="vd",

@@ -6,6 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fal_spectrum import (
     CapExceededError,
@@ -24,6 +25,7 @@ from fal_spectrum import (
     vd_mod,
     self_sum,
 )
+from fal_spectrum import approx, calculus, numerics
 from fal_spectrum.numerics import PrecisionContext, two_v_oct
 from helpers import make_link
 from oracles import best_error_upto
@@ -270,3 +272,84 @@ def test_anchor_recipes_in_both_modes(digits, anchor, offset, expected, l41):
     assert replication_error(alone, m, ctx) < eps / 2 <= replication_error(alone, m - 1, ctx)
     assert recipe.achieved_vd.exactly_equals(vd(self_sum(link, m), ctx))
     assert recipe.error < eps
+
+
+# ---------------------------------------------------------------------------
+# candidates are tested on integer totals; only the returned recipe is a Composition
+
+_components = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=0, max_value=40, max_denominator=10**6),
+)
+_remainders = st.one_of(
+    st.just(Decimal(0)),
+    st.builds(lambda n, places: Decimal(n).scaleb(-places), st.integers(0, 10**15), st.integers(0, 12)),
+)
+_links = st.tuples(_components, _components, _remainders, st.integers(2, 12)).filter(lambda t: any(t[:3]))
+
+
+@given(
+    _links,
+    _links,
+    st.tuples(st.integers(0, 10**9), st.integers(0, 10**9)).filter(any),
+    st.sampled_from([30, 60]),
+)
+def test_integer_totals_give_the_digits_of_vd_mod(first, second, counts, digits):
+    ctx = PrecisionContext(digits)
+    link1, link2 = (
+        make_link(name, c_oct=c_oct, c_tet=c_tet, remainder=str(remainder), a=a)
+        for name, (c_oct, c_tet, remainder, a) in (("A", first), ("B", second))
+    )
+    k, l = counts
+    c = composition([(link, n) for link, n in ((link1, k), (link2, l)) if n])
+    tested = approx._vd_mod_evaluator(link1, link2, ctx)(k, l)
+    expected = vd_mod(c, ctx).evaluated
+    assert tested == expected
+    assert str(tested) == str(expected)
+    # The final rounding to digits hides most differences in the guard
+    # digits, so the working-precision values must agree as well.
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (approx, numerics):
+            patch.setattr(module, "round_to", lambda value, ctx: value)
+        unrounded = approx._vd_mod_evaluator(link1, link2, ctx)(k, l)
+        assert str(unrounded) == str(vd_mod(c, ctx).evaluated)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every Composition built, through approx or inside calculus (replicate, self_sum)."""
+    compositions = []
+    original = calculus.composition
+
+    def counting(parts):
+        compositions.append(original(parts))
+        return compositions[-1]
+
+    monkeypatch.setattr(calculus, "composition", counting)
+    monkeypatch.setattr(approx, "composition", counting)
+    return compositions
+
+
+@pytest.mark.parametrize("target", ["9.1", "9.5", "9.000001"])
+@pytest.mark.parametrize("eps", ["1e-3", "1e-9", "1e-12"])
+def test_search_builds_only_the_returned_composition(ctx, l41, built, target, eps):
+    recipe = approximate_vd_mod(Decimal(target), l41, S10, Decimal(eps), ctx)
+    assert built == [recipe.composition]
+    built.clear()
+    recipe = approximate_vd(Decimal(target), l41, S10, Decimal(eps), ctx)
+    assert 1 <= len(built) <= 2
+    assert built[-1] == recipe.composition
+
+
+def test_anchor_search_builds_only_the_anchor(ctx, l41, built):
+    alone = self_sum(S10, 1)
+    target = vd_mod(alone, ctx).evaluated
+    built.clear()
+    recipe = approximate_vd_mod(target, l41, S10, Decimal("1e-9"), ctx)
+    assert built == [recipe.composition] == [alone]
+
+
+def test_refused_search_builds_no_composition(ctx, l41, built):
+    with pytest.raises(CapExceededError):
+        approximate_vd_mod(Decimal("9.000001"), l41, S10, Decimal("1e-12"), ctx, max_denominator=3)
+    assert built == []
