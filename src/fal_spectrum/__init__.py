@@ -29,11 +29,9 @@ from .bounds import (
 from .calculus import (
     Composition,
     DensityValue,
-    augmentations,
     belted_sum,
     composition,
     format_recipe,
-    modified_augmentations,
     parse_recipe,
     replicate,
     replication_error,

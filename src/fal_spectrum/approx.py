@@ -166,7 +166,7 @@ def _vd_mod_evaluator(link1: BaseLink, link2: BaseLink, ctx: PrecisionContext):
     atilde1, atilde2 = link1.atilde, link2.atilde
 
     def value(k: int, l: int) -> Decimal:
-        # numerics.combination, then calculus._density, operation for operation.
+        # numerics.combination, then calculus.densities, operation for operation.
         # Decimal(int) is exact and division correctly rounded, so the
         # unreduced n/D gives the digits of the reduced Fraction.
         with ctx.working():

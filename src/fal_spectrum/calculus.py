@@ -34,13 +34,11 @@ from .numerics import PrecisionContext
 __all__ = [
     "Composition",
     "DensityValue",
-    "augmentations",
     "belted_sum",
     "composition",
     "densities",
     "exact_combo_string",
     "format_recipe",
-    "modified_augmentations",
     "parse_recipe",
     "replicate",
     "replication_error",
@@ -106,15 +104,6 @@ def volume(c: Composition) -> ExactVolume:
     return c.volume
 
 
-def modified_augmentations(c: Composition) -> int:
-    """a(c) - 1; additive under belted sum."""
-    return c.atilde
-
-
-def augmentations(c: Composition) -> int:
-    return c.atilde + 1
-
-
 @dataclass(frozen=True)
 class DensityValue:
     """A density with exact form (numerator volume / integer denominator)
@@ -149,27 +138,25 @@ def exact_combo_string(
     return f"{c_oct}*voct+{c_tet}*vtet+{rem}"
 
 
-def _density(c: Composition, evaluated: Decimal, denominator: int, ctx: PrecisionContext) -> DensityValue:
-    """The density of ``c`` whose volume evaluates to ``evaluated``."""
-    with ctx.working():
-        value = evaluated / denominator
-    return DensityValue(c.volume, denominator, numerics.round_to(value, ctx))
-
-
 def vd(c: Composition, ctx: PrecisionContext) -> DensityValue:
     """Volume density vol/a."""
-    return _density(c, c.volume.evaluate(ctx), c.atilde + 1, ctx)
+    return densities(c, ctx)[0]
 
 
 def vd_mod(c: Composition, ctx: PrecisionContext) -> DensityValue:
     """Modified volume density vol/(a-1)."""
-    return _density(c, c.volume.evaluate(ctx), c.atilde, ctx)
+    return densities(c, ctx)[1]
 
 
 def densities(c: Composition, ctx: PrecisionContext) -> tuple[DensityValue, DensityValue]:
     """(vd(c), vd_mod(c)) from one evaluation of the volume."""
     evaluated = c.volume.evaluate(ctx)
-    return _density(c, evaluated, c.atilde + 1, ctx), _density(c, evaluated, c.atilde, ctx)
+    with ctx.working():
+        plain, modified = evaluated / (c.atilde + 1), evaluated / c.atilde
+    return (
+        DensityValue(c.volume, c.atilde + 1, numerics.round_to(plain, ctx)),
+        DensityValue(c.volume, c.atilde, numerics.round_to(modified, ctx)),
+    )
 
 
 def replication_error(c: Composition, m: int, ctx: PrecisionContext) -> Decimal:
@@ -191,13 +178,10 @@ def parse_recipe(text: str, catalog: Catalog) -> Composition:
             raise DomainError(f"empty part in recipe {text!r}")
         name, star, mult_text = token.partition("*")
         name = name.strip()
-        if star:
-            try:
-                multiplicity = int(mult_text.strip())
-            except ValueError:
-                raise DomainError(f"bad multiplicity in recipe part {token!r}") from None
-        else:
-            multiplicity = 1
+        mult_text = mult_text.strip()
+        if star and not (mult_text.isascii() and mult_text.isdigit()):
+            raise DomainError(f"bad multiplicity in recipe part {token!r}")
+        multiplicity = int(mult_text) if star else 1
         parts.append((catalog[name], multiplicity))
     return composition(parts)
 

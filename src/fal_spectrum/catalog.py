@@ -100,7 +100,7 @@ class ExactVolume:
 
     def remainder_decimal_string(self) -> str:
         text = numerics.exact_decimal_string(self.remainder)
-        if text is None:  # pragma: no cover - unreachable for file-loaded volumes
+        if text is None:
             raise CatalogError(f"remainder {self.remainder} has no finite decimal form")
         return text
 

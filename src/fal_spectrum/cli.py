@@ -121,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?", default=None, help="catalog JSON file (builtin links if omitted)")
     p.add_argument("--budget", required=True, type=_positive_int, help="bound on total atilde")
     p.add_argument("--cap", type=_positive_int, default=bounds.DEFAULT_SCAN_CAP, help="row cap")
-    p.add_argument("--out", dest="output", default=None, help="write rows to this file")
     p.set_defaults(handler=_cmd_scan, default_format="csv")
 
     return parser
@@ -185,15 +184,15 @@ def _cmd_catalog_list(args, ctx: PrecisionContext) -> str:
     header = ["name", "a", "volume_exact", "volume_decimal", "vd_decimal", "vdmod_decimal", "note"]
     rows = []
     for link in cat:
-        c = calculus.self_sum(link, 1)
+        density, density_mod = calculus.densities(calculus.self_sum(link, 1), ctx)
         rows.append(
             [
                 link.name,
                 str(link.augmentations),
                 calculus.exact_combo_string(*link.volume.components(), ctx),
                 str(numerics.round_to(link.volume.evaluate(ctx), ctx)),
-                str(calculus.vd(c, ctx).evaluated),
-                str(calculus.vd_mod(c, ctx).evaluated),
+                str(density.evaluated),
+                str(density_mod.evaluated),
                 link.note,
             ]
         )
@@ -214,8 +213,7 @@ def _cmd_validate(args, ctx: PrecisionContext) -> str:
 def _cmd_density(args, ctx: PrecisionContext) -> str:
     cat = _load_catalog(args.file)
     comp = calculus.parse_recipe(args.recipe, cat)
-    density = calculus.vd(comp, ctx)
-    density_mod = calculus.vd_mod(comp, ctx)
+    density, density_mod = calculus.densities(comp, ctx)
     pairs = [
         ("recipe", calculus.format_recipe(comp)),
         ("vol_exact", calculus.exact_combo_string(*comp.volume.components(), ctx)),

@@ -8,12 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from fal_spectrum import (
     DomainError,
-    augmentations,
     belted_sum,
     builtin_catalog,
     composition,
     format_recipe,
-    modified_augmentations,
     parse_recipe,
     replicate,
     replication_error,
@@ -34,7 +32,7 @@ def test_belted_sum_merges_multiplicities(l41):
     summed = belted_sum(left, left)
     assert summed == self_sum(l41, 2)
     assert volume(summed).components() == (Fraction(4), Fraction(0), Fraction(0))
-    assert augmentations(summed) == 3
+    assert summed.atilde + 1 == 3
 
 
 def test_volume_linearity(l41):
@@ -45,12 +43,12 @@ def test_volume_linearity(l41):
 
 def test_augmentation_counts(l41):
     for k in (1, 2, 7, 100):
-        assert augmentations(self_sum(l41, k)) == k + 1
+        assert self_sum(l41, k).atilde + 1 == k + 1
     single = self_sum(S50, 1)
-    assert augmentations(single) == S50.augmentations
+    assert single.atilde + 1 == S50.augmentations
     mixed = belted_sum(self_sum(l41, 2), self_sum(S50, 3))
-    assert modified_augmentations(mixed) == 2 * 1 + 3 * 5 == 17
-    assert augmentations(mixed) == 18
+    assert mixed.atilde == 2 * 1 + 3 * 5 == 17
+    assert mixed.atilde + 1 == 18
 
 
 def test_densities_of_builtin(ctx, l41):
@@ -93,7 +91,7 @@ def test_replication_error_closed_form(ctx, l41):
 
 def test_replication_identity_exact(ctx, l41):
     mixed = belted_sum(self_sum(l41, 2), self_sum(S50, 1))
-    atilde = modified_augmentations(mixed)
+    atilde = mixed.atilde
     for m in (1, 3, 17):
         expanded = replicate(mixed, m)
         gap = tuple(
@@ -136,8 +134,8 @@ def test_belted_sum_associates(x, y, z):
 def test_value_level_additivity(x, y):
     summed = belted_sum(x, y)
     assert volume(summed) == volume(x) + volume(y)
-    assert modified_augmentations(summed) == modified_augmentations(x) + modified_augmentations(y)
-    assert augmentations(summed) == augmentations(x) + augmentations(y) - 1
+    assert summed.atilde == x.atilde + y.atilde
+    assert (summed.atilde + 1) == (x.atilde + 1) + (y.atilde + 1) - 1
 
 
 @settings(max_examples=60)
@@ -152,7 +150,7 @@ def test_weighted_average_identity(ctx, c):
 @settings(max_examples=40)
 @given(_compositions, st.integers(1, 1000))
 def test_replication_identity_property(ctx, c, m):
-    atilde = modified_augmentations(c)
+    atilde = c.atilde
     expanded = replicate(c, m)
     gap = tuple(
         a - b for a, b in zip(vd_mod(expanded, ctx).exact_parts(), vd(expanded, ctx).exact_parts())
@@ -211,7 +209,7 @@ def test_totals_fixed_at_construction_match_reference(parts_pair):
 @given(_compositions, st.integers(1, 50))
 def test_replicate_scales_counts(c, m):
     expanded = replicate(c, m)
-    assert modified_augmentations(expanded) == m * modified_augmentations(c)
+    assert expanded.atilde == m * c.atilde
     assert volume(expanded) == volume(c) * m
 
 

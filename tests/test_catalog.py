@@ -154,6 +154,12 @@ def test_save_load_round_trip():
     assert [link.note for link in again] == [link.note for link in cat]
 
 
+def test_save_refuses_remainder_without_finite_decimal():
+    link = BaseLink(name="Third", volume=ExactVolume(c_oct=2, remainder="1/3"), augmentations=2, note="")
+    with pytest.raises(CatalogError, match="remainder 1/3 has no finite decimal form"):
+        save_catalog(Catalog.from_links([link]))
+
+
 _names = st.sampled_from(["A", "B2", "C_3", "Delta", "E"])
 _coeffs = st.fractions(min_value=0, max_value=9, max_denominator=8)
 _remainders = st.sampled_from(["0", "0.5", "1.25", "3.0625", "0.2"])

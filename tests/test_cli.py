@@ -129,6 +129,14 @@ def test_density_unknown_link(capsys):
     assert "ghost" in err
 
 
+@pytest.mark.parametrize("recipe", ["L41*\u0663", "L41*1_0", "L41*+2", "L41*-3", "L41*", "L41*3.0"])
+def test_recipe_multiplicity_must_be_ascii_digits(capsys, recipe):
+    code, out, err = run_cli(capsys, "density", "--recipe", recipe)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: bad multiplicity in recipe part {recipe!r}\n"
+
+
 def test_catalog_list(capsys, catalog_file):
     code, out, err = run_cli(capsys, "catalog", "list", catalog_file)
     assert code == 0, err

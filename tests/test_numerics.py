@@ -1,10 +1,9 @@
 """Lobachevsky series against the quadrature oracle, precision contracts,
 correct rounding and proven enclosures of the constants, the exact
-tangent-number table and the per-precision constant cache."""
+tangent numbers and the per-precision constant cache."""
 
 import random
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Context, Decimal
 
@@ -167,12 +166,7 @@ def test_derived_window_constants(ctx):
 
 
 def test_tangent_table_equals_fraction_recurrence():
-    numerics.clear_caches()
-    ctx = PrecisionContext(160)
-    lobachevsky(pi_angle(ctx, 1, 2), ctx)
-    table = numerics._tangents
-    assert len(table) >= 250
-    assert table == tangent_numbers(len(table))
+    assert numerics._tangent_numbers(250) == tangent_numbers(250)
 
 
 def test_constants_match_closed_forms_at_300_digits():
@@ -183,49 +177,22 @@ def test_constants_match_closed_forms_at_300_digits():
 
 
 def _lambda_pair(digits):
-    """(Lambda(pi/4), Lambda(pi/6)), which build the shared tangent table."""
+    """(Lambda(pi/4), Lambda(pi/6)) at ``digits``."""
     ctx = PrecisionContext(digits)
     return lobachevsky(pi_angle(ctx, 1, 4), ctx), lobachevsky(pi_angle(ctx, 1, 6), ctx)
 
 
-def test_tangent_cache_concurrent_cold_builds():
+def test_lobachevsky_concurrent_calls_match_serial():
     digits = (30, 60, 120, 200, 300, 90)
-    serial = {}
-    longest = 0
-    for d in digits:
-        numerics.clear_caches()
-        serial[d] = _lambda_pair(d)
-        longest = max(longest, len(numerics._tangents))
-    reference = tangent_numbers(longest)
-
-    numerics.clear_caches()
-    done = threading.Event()
-    published = {}  # id -> (table, length when first seen)
-
-    def watch():
-        while not done.is_set():
-            table = numerics._tangents
-            published.setdefault(id(table), (table, len(table)))
-
+    serial = {d: _lambda_pair(d) for d in digits}
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
-    watcher = threading.Thread(target=watch)
-    watcher.start()
     try:
         with ThreadPoolExecutor(max_workers=len(digits)) as pool:
-            cold = pool.map(_lambda_pair, digits, timeout=60)
-            results = dict(zip(digits, cold))
+            results = dict(zip(digits, pool.map(_lambda_pair, digits, timeout=60)))
     finally:
-        done.set()
-        watcher.join(timeout=10)
         sys.setswitchinterval(switch)
-    assert not watcher.is_alive()
     assert results == serial
-    assert len(published) > 1
-    for table, length in published.values():
-        # published whole and never mutated afterwards
-        assert len(table) == length
-        assert table == reference[:length]
 
 
 # ---------------------------------------------------------------------------
