@@ -181,7 +181,10 @@ def parse_recipe(text: str, catalog: Catalog) -> Composition:
         mult_text = mult_text.strip()
         if star and not (mult_text.isascii() and mult_text.isdigit()):
             raise DomainError(f"bad multiplicity in recipe part {token!r}")
-        multiplicity = int(mult_text) if star else 1
+        try:
+            multiplicity = int(mult_text) if star else 1
+        except ValueError:  # more digits than int() converts
+            raise DomainError(f"bad multiplicity in recipe part {token!r}") from None
         parts.append((catalog[name], multiplicity))
     return composition(parts)
 

@@ -129,7 +129,10 @@ def test_density_unknown_link(capsys):
     assert "ghost" in err
 
 
-@pytest.mark.parametrize("recipe", ["L41*\u0663", "L41*1_0", "L41*+2", "L41*-3", "L41*", "L41*3.0"])
+@pytest.mark.parametrize("recipe", [
+    "L41*\u0663", "L41*1_0", "L41*+2", "L41*-3", "L41*", "L41*3.0",
+    pytest.param("L41*" + "1" * 5000, id="L41*1x5000"),  # past int()'s digit limit
+])
 def test_recipe_multiplicity_must_be_ascii_digits(capsys, recipe):
     code, out, err = run_cli(capsys, "density", "--recipe", recipe)
     assert code == 1
