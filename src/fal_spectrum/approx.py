@@ -37,7 +37,6 @@ from .calculus import (
     DensityValue,
     composition,
     densities,
-    format_recipe,
     replicate,
     replication_error,
 )
@@ -77,9 +76,6 @@ class Recipe:
     error: Decimal
     target: Decimal
     mode: str
-
-    def recipe_string(self) -> str:
-        return format_recipe(self.composition)
 
 
 def _as_decimal(value, what: str) -> Decimal:
@@ -258,7 +254,18 @@ def approximate_vd(
         raise DomainError(f"tolerance must be positive, got {eps}")
     with ctx.working():
         half = eps / 2
-        base = approximate_vd_mod(target, link1, link2, half, ctx, max_denominator)
+        if half <= ctx.comparison_tolerance:
+            raise DomainError(
+                f"tolerance {eps} is too fine for {ctx.digits} digits: vd mode matches vd_mod to eps/2, "
+                f"and only tolerances above {ctx.comparison_tolerance} resolve; raise the precision"
+            )
+        try:
+            base = approximate_vd_mod(target, link1, link2, half, ctx, max_denominator)
+        except CapExceededError:
+            raise CapExceededError(
+                f"no convergent recipe reaches eps={eps} (vd_mod within eps/2) with denominator "
+                f"<= {max_denominator}; raise the max_denominator cap"
+            ) from None
         core = base.composition
         vdm = base.achieved_vd_mod.evaluated
         # least m with vd_mod/(m*atilde+1) < eps/2, i.e. m > (2*vd_mod/eps - 1)/atilde

@@ -2,8 +2,8 @@
 
 Subcommands: constants, catalog list, validate, density, approximate,
 bounds, certify, classify, scan.  Exit codes: 0 success, 1 domain errors
-(bad catalog, out-of-range targets, a scan past its row cap, an output
-file that cannot be written), 2 usage errors.  A domain error prints one
+(bad catalog, a value out of range, a scan past its row cap, an output
+file that cannot be written), 2 usage errors (bad syntax).  A domain error prints one
 ``error:`` line on stderr.  Data goes to the output stream, diagnostics
 to stderr, and identical invocations produce byte-identical output.
 """
@@ -14,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from decimal import Decimal, InvalidOperation
 
@@ -25,8 +24,6 @@ from .numerics import DEFAULT_DIGITS, PrecisionContext
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
-
-ENV_DIGITS = "FAL_SPECTRUM_DIGITS"
 
 
 def _decimal_arg(text: str) -> Decimal:
@@ -39,24 +36,24 @@ def _decimal_arg(text: str) -> Decimal:
     return value
 
 
-def _positive_int(text: str) -> int:
+def _int_arg(text: str) -> int:
+    """An optional ``-`` and ASCII digits, like a recipe multiplicity; the library checks the range."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
-    return value
+        return int(text)
+    except ValueError:  # past int()'s limit on digits
+        raise argparse.ArgumentTypeError(f"too many digits: {len(digits)}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--digits",
-        type=int,
-        default=None,
-        help=f"significant digits of working precision (default {DEFAULT_DIGITS}, "
-        f"or ${ENV_DIGITS} when set)",
+        type=_int_arg,
+        default=DEFAULT_DIGITS,
+        help=f"significant digits of working precision (default {DEFAULT_DIGITS})",
     )
     common.add_argument(
         "--format",
@@ -99,14 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("vd", "vdmod"), default="vd", help="which density to match")
     p.add_argument(
         "--max-denominator",
-        type=_positive_int,
+        type=_int_arg,
         default=approx.DEFAULT_MAX_DENOMINATOR,
         help="cap on convergent denominators",
     )
     p.set_defaults(handler=_cmd_approximate)
 
     p = sub.add_parser("bounds", parents=[common], help="Euler characteristic and volume bounds for a")
-    p.add_argument("--a", required=True, type=int, help="augmentation count")
+    p.add_argument("--a", required=True, type=_int_arg, help="augmentation count")
     p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser("certify", parents=[common], help="max augmentation count below a threshold")
@@ -119,8 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", parents=[common], help="enumerate compositions up to an atilde budget")
     p.add_argument("file", nargs="?", default=None, help="catalog JSON file (builtin links if omitted)")
-    p.add_argument("--budget", required=True, type=_positive_int, help="bound on total atilde")
-    p.add_argument("--cap", type=_positive_int, default=bounds.DEFAULT_SCAN_CAP, help="row cap")
+    p.add_argument("--budget", required=True, type=_int_arg, help="bound on total atilde")
+    p.add_argument("--cap", type=_int_arg, default=bounds.DEFAULT_SCAN_CAP, help="row cap")
     p.set_defaults(handler=_cmd_scan, default_format="csv")
 
     return parser
@@ -133,11 +130,7 @@ def _render_kv(pairs: list[tuple[str, str]], fmt: str) -> str:
     if fmt == "json":
         return json.dumps(dict(pairs), indent=2) + "\n"
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["key", "value"])
-        writer.writerows(pairs)
-        return buffer.getvalue()
+        return _render_rows(["key", "value"], pairs, fmt)
     width = max(len(key) for key, _ in pairs)
     return "".join(f"{key.ljust(width)}  {value}\n" for key, value in pairs)
 
@@ -240,7 +233,7 @@ def _cmd_approximate(args, ctx: PrecisionContext) -> str:
         ("k", str(recipe.k)),
         ("l", str(recipe.l)),
         ("m", str(recipe.m)),
-        ("recipe", recipe.recipe_string()),
+        ("recipe", calculus.format_recipe(recipe.composition)),
         ("achieved_vd_exact", recipe.achieved_vd.exact_string(ctx)),
         ("achieved_vd_decimal", str(recipe.achieved_vd.evaluated)),
         ("achieved_vdmod_exact", recipe.achieved_vd_mod.exact_string(ctx)),
@@ -297,18 +290,6 @@ def _cmd_scan(args, ctx: PrecisionContext) -> str:
 
 # ---------------------------------------------------------------------------
 
-def _resolve_digits(args) -> int:
-    if args.digits is not None:
-        return args.digits
-    env = os.environ.get(ENV_DIGITS)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise FalSpectrumError(f"${ENV_DIGITS} must be an integer, got {env!r}") from None
-    return DEFAULT_DIGITS
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -317,7 +298,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     args.fmt = args.format or getattr(args, "default_format", None) or "table"
     try:
-        ctx = PrecisionContext(_resolve_digits(args))
+        ctx = PrecisionContext(args.digits)
         text = args.handler(args, ctx)
     except FalSpectrumError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -236,6 +236,24 @@ def test_vd_mode_rejects_bad_eps(ctx, l41):
         approximate_vd(Decimal(9), l41, S10, Decimal("-1e-6"), ctx)
 
 
+@pytest.mark.parametrize("eps", ["1.5E-25", "2E-25"])
+def test_vd_mode_precision_error_quotes_the_callers_eps(ctx, l41, eps):
+    # eps/2 is at or under the 30-digit tolerance 1E-25, while eps itself is above it
+    with pytest.raises(DomainError) as info:
+        approximate_vd(Decimal(9), l41, S10, Decimal(eps), ctx)
+    message = str(info.value)
+    assert message.startswith(f"tolerance {eps} is too fine for 30 digits")
+    assert "above 1E-25" in message
+
+
+def test_vd_mode_cap_error_quotes_the_callers_eps(ctx, l41):
+    with pytest.raises(CapExceededError) as info:
+        approximate_vd(Decimal(9), l41, S10, Decimal("1e-6"), ctx, max_denominator=1)
+    message = str(info.value)
+    assert "eps=0.000001 " in message and "denominator <= 1" in message
+    assert "5E-7" not in message
+
+
 # ---------------------------------------------------------------------------
 # anchors: a target on an anchor, or within tolerance just outside the interval
 

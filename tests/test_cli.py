@@ -1,4 +1,4 @@
-"""CLI behavior: output formats, exit codes, determinism, env overrides."""
+"""CLI behavior: output formats, exit codes, determinism, option parsing."""
 
 import csv
 import io
@@ -73,20 +73,13 @@ def test_constants_digits_flag(capsys):
     assert v30.startswith(v25[:20])
 
 
-def test_env_digits_override(capsys, monkeypatch):
-    monkeypatch.setenv("FAL_SPECTRUM_DIGITS", "22")
-    _, out, _ = run_cli(capsys, "constants")
-    assert kv_from_table(out)["v_oct"] == str(v_oct(PrecisionContext(22)))
-    # explicit flag wins over the environment
-    _, out_flag, _ = run_cli(capsys, "constants", "--digits", "30")
-    assert kv_from_table(out_flag)["v_oct"] == str(v_oct(PrecisionContext(30)))
-
-
-def test_env_digits_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("FAL_SPECTRUM_DIGITS", "many")
-    code, _, err = run_cli(capsys, "constants")
-    assert code == 1
-    assert "FAL_SPECTRUM_DIGITS" in err
+@pytest.mark.parametrize("value", ["22", "many"])
+def test_digits_come_only_from_the_flag(capsys, monkeypatch, value):
+    # --digits is the one source of the precision; the environment does not set it
+    monkeypatch.setenv("FAL_SPECTRUM_DIGITS", value)
+    code, out, err = run_cli(capsys, "constants")
+    assert (code, err) == (0, "")
+    assert kv_from_table(out)["v_oct"] == str(v_oct(PrecisionContext(30)))
 
 
 def test_too_few_digits_is_domain_error(capsys):
@@ -96,12 +89,56 @@ def test_too_few_digits_is_domain_error(capsys):
 
 
 @pytest.mark.parametrize("digits", ["1001", "100000"])
-def test_too_many_digits_is_domain_error(capsys, monkeypatch, digits):
+def test_too_many_digits_is_domain_error(capsys, digits):
     code, out, err = run_cli(capsys, "constants", "--digits", digits)
     assert (code, out) == (1, "")
     assert err == f"error: precision must be at most 1000 digits, got {digits}\n"
-    monkeypatch.setenv("FAL_SPECTRUM_DIGITS", digits)
-    assert run_cli(capsys, "constants") == (code, out, err)
+
+
+# every integer option, as (subcommand and required arguments, option)
+INTEGER_OPTIONS = [
+    (["constants"], "--digits"),
+    (["bounds"], "--a"),
+    (["scan"], "--budget"),
+    (["scan", "--budget", "3"], "--cap"),
+    (["approximate", "--l1", "L41", "--l2", "L41", "--target", "7.4", "--eps", "1e-6"], "--max-denominator"),
+]
+
+
+@pytest.mark.parametrize("command,option", INTEGER_OPTIONS, ids=[option for _, option in INTEGER_OPTIONS])
+@pytest.mark.parametrize(
+    "value,reason",
+    [
+        ("\u0663\u0660", "not an integer: '\u0663\u0660'"),
+        ("3_0", "not an integer: '3_0'"),
+        (" 7", "not an integer: ' 7'"),
+        ("+7", "not an integer: '+7'"),
+        ("-", "not an integer: '-'"),
+        ("1" * 5000, "too many digits: 5000"),  # past int()'s digit limit
+    ],
+    ids=["arabic-indic", "underscore", "space", "plus", "bare-minus", "5000-digits"],
+)
+def test_integer_option_syntax_is_usage_error(capsys, command, option, value, reason):
+    code, out, err = run_cli(capsys, *command, f"{option}={value}")
+    assert (code, out) == (2, "")
+    error_lines = [line for line in err.splitlines() if "error:" in line]
+    assert error_lines == [f"fal-spectrum {command[0]}: error: argument {option}: {reason}"]
+    assert err.endswith(error_lines[0] + "\n")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["scan", "--budget", "0"], "budget must be at least 1, got 0"),
+        (["scan", "--budget", "3", "--cap", "0"], "max_rows must be at least 1, got 0"),
+        (INTEGER_OPTIONS[4][0] + ["--max-denominator", "0"], "max_denominator must be at least 1, got 0"),
+        (["bounds", "--a", "-3"], "augmentation count must be at least 2, got -3"),
+        (["constants", "--digits", "-30"], "precision must be at least 20, got -30"),
+    ],
+    ids=["budget", "cap", "max-denominator", "a", "digits"],
+)
+def test_integer_option_out_of_range_is_domain_error(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 def test_density_builtin(capsys):
@@ -370,6 +407,17 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     captured = capsys.readouterr()
     assert "fal-spectrum" in captured.out
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["constants", "catalog", "catalog list", "validate", "density", "approximate", "bounds",
+     "certify", "classify", "scan"],
+)
+def test_every_subcommand_help_exits_zero(capsys, command):
+    code, out, err = run_cli(capsys, *command.split(), "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: fal-spectrum {command}")
 
 
 def test_module_entry_point():

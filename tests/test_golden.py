@@ -11,12 +11,11 @@ recorded results with ``python tests/test_golden.py`` (with ``src`` on
 import contextlib
 import io
 import json
-import os
 from pathlib import Path
 
 import pytest
 
-from fal_spectrum.cli import ENV_DIGITS, main
+from fal_spectrum.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 CORPUS = GOLDEN / "corpus.json"
@@ -38,15 +37,13 @@ def _load():
 @pytest.mark.parametrize(
     "case", [pytest.param(case, id=f"{i:02d}-{case['argv'][0]}") for i, case in enumerate(_load())]
 )
-def test_golden_invocation(case, monkeypatch):
-    monkeypatch.delenv(ENV_DIGITS, raising=False)
+def test_golden_invocation(case):
     code, stdout = run(case["argv"])
     assert code == case["exit"]
     assert stdout == case["stdout"]
 
 
 if __name__ == "__main__":
-    os.environ.pop(ENV_DIGITS, None)
     cases = []
     for case in _load():
         code, stdout = run(case["argv"])
