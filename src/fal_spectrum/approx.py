@@ -17,11 +17,11 @@ whole recipe m times, so targets for vd are reached by first matching
 vd_mod to half the tolerance and then replicating until the remaining
 gap fits in the other half.
 
-Each candidate (k, l) is tested on integer totals: once per search, every
-volume component of the two anchors is put over one common denominator D,
-so k copies of L1 and l of L2 total (k*n1 + l*n2)/D exactly, and the
-modified density is evaluated from those integers with the Decimal
-operations of calculus.vd_mod, giving the same digits.  Only the recipe
+Each candidate (k, l) is tested on integer totals: once per search, the
+volume components of the two anchors are put over one common denominator
+D, so k copies of L1 and l of L2 total (k*n1 + l*n2)/D exactly, and
+numerics.correctly_rounded evaluates the modified density from those
+integers, as calculus.vd_mod does from the composition.  Only the recipe
 that is returned becomes a Composition.
 """
 
@@ -42,7 +42,7 @@ from .calculus import (
 )
 from .catalog import BaseLink
 from .errors import CapExceededError, DegeneratePairError, DomainError, TargetRangeError
-from .numerics import PrecisionContext, parse_count, parse_decimal, parse_rational, raw_constants, round_to
+from .numerics import PrecisionContext, correctly_rounded, parse_count, parse_decimal, parse_rational
 
 __all__ = [
     "DEFAULT_MAX_DENOMINATOR",
@@ -153,22 +153,15 @@ def best_rational_approximations(r, max_denominator: int = DEFAULT_MAX_DENOMINAT
 
 def _vd_mod_evaluator(link1: BaseLink, link2: BaseLink, ctx: PrecisionContext):
     """(k, l) -> the evaluated vd_mod of k copies of link1 and l of link2,
-    digit for digit, from integer totals over common denominators."""
-    voct, vtet = raw_constants(ctx)
-    totals = []  # per component: link1's and link2's numerators over the common denominator
-    for x, y in zip(link1.volume.components(), link2.volume.components()):
-        d = math.lcm(x.denominator, y.denominator)
-        totals.append((x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), Decimal(d)))
+    from integer totals over one common denominator."""
+    parts = link1.volume.components() + link2.volume.components()
+    d = math.lcm(*(x.denominator for x in parts))
+    n = [x.numerator * (d // x.denominator) for x in parts]
     atilde1, atilde2 = link1.atilde, link2.atilde
 
     def value(k: int, l: int) -> Decimal:
-        # numerics.combination, then calculus.densities, operation for operation.
-        # Decimal(int) is exact and division correctly rounded, so the
-        # unreduced n/D gives the digits of the reduced Fraction.
-        with ctx.working():
-            c_oct, c_tet, remainder = (Decimal(k * n1 + l * n2) / d for n1, n2, d in totals)
-            volume = c_oct * voct + c_tet * vtet + remainder
-            return round_to(volume / (k * atilde1 + l * atilde2), ctx)
+        totals = [k * n[i] + l * n[i + 3] for i in range(3)]
+        return correctly_rounded(*totals, d * (k * atilde1 + l * atilde2), ctx)
 
     return value
 

@@ -70,17 +70,13 @@ def euler_characteristic(a: int) -> int:
 def miyamoto_volume_lower_bound(a: int, ctx: PrecisionContext) -> Decimal:
     """2*(a-1)*v_oct, attained exactly by octahedral decompositions."""
     numerics.parse_count(a, "augmentation count", 2)
-    voct, _ = numerics.raw_constants(ctx)
-    with ctx.working():
-        return numerics.round_to(2 * (a - 1) * voct, ctx)
+    return numerics.correctly_rounded(2 * (a - 1), 0, 0, 1, ctx)
 
 
 def vd_lower_bound(a: int, ctx: PrecisionContext) -> Decimal:
     """2*v_oct*(a-1)/a; strictly increasing in a with supremum 2*v_oct."""
     numerics.parse_count(a, "augmentation count", 2)
-    voct, _ = numerics.raw_constants(ctx)
-    with ctx.working():
-        return numerics.round_to(2 * voct * (a - 1) / a, ctx)
+    return numerics.correctly_rounded(2 * (a - 1), 0, 0, a, ctx)
 
 
 def _density_parts(value) -> tuple[Fraction, Fraction, Fraction]:
@@ -151,7 +147,7 @@ def max_augmentations_below(density, ctx: PrecisionContext) -> Certificate:
 
     # 2*v_oct*(a-1)/a <= target  iff  a <= 2*v_oct / (2*v_oct - target), exactly
     n = max(2, int(two_voct / (two_voct - target)))
-    threshold = numerics.round_to(evaluated, ctx)
+    threshold = numerics.correctly_rounded(*parts, 1, ctx)
     return Certificate(
         threshold=threshold,
         max_augmentations=n,

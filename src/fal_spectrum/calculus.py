@@ -119,9 +119,6 @@ class DensityValue:
         n = self.numerator
         return (n.c_oct / d, n.c_tet / d, n.remainder / d)
 
-    def exactly_equals(self, other: "DensityValue") -> bool:
-        return self.exact_parts() == other.exact_parts()
-
     def exact_string(self, ctx: PrecisionContext) -> str:
         oct_part, tet_part, rem_part = self.exact_parts()
         return exact_combo_string(oct_part, tet_part, rem_part, ctx)
@@ -131,11 +128,11 @@ def exact_combo_string(
     c_oct: Fraction, c_tet: Fraction, remainder: Fraction, ctx: PrecisionContext
 ) -> str:
     """Render "p/q*voct+r/s*vtet+rem"; the remainder is exact when it has a
-    finite decimal form and context-rounded otherwise."""
+    finite decimal form and correctly rounded otherwise."""
     rem = numerics.exact_decimal_string(remainder)
     if rem is None:
-        rem = str(numerics.round_to(numerics.fraction_to_decimal(remainder, ctx), ctx))
-    return f"{c_oct}*voct+{c_tet}*vtet+{rem}"
+        rem = str(numerics.correctly_rounded(0, 0, remainder, 1, ctx))
+    return f"{numerics.rational_string(c_oct)}*voct+{numerics.rational_string(c_tet)}*vtet+{rem}"
 
 
 def vd(c: Composition, ctx: PrecisionContext) -> DensityValue:
@@ -149,22 +146,18 @@ def vd_mod(c: Composition, ctx: PrecisionContext) -> DensityValue:
 
 
 def densities(c: Composition, ctx: PrecisionContext) -> tuple[DensityValue, DensityValue]:
-    """(vd(c), vd_mod(c)) from one evaluation of the volume."""
-    evaluated = c.volume.evaluate(ctx)
-    with ctx.working():
-        plain, modified = evaluated / (c.atilde + 1), evaluated / c.atilde
-    return (
-        DensityValue(c.volume, c.atilde + 1, numerics.round_to(plain, ctx)),
-        DensityValue(c.volume, c.atilde, numerics.round_to(modified, ctx)),
+    """(vd(c), vd_mod(c)), each correctly rounded."""
+    parts = c.volume.components()
+    return tuple(
+        DensityValue(c.volume, den, numerics.correctly_rounded(*parts, den, ctx))
+        for den in (c.atilde + 1, c.atilde)
     )
 
 
 def replication_error(c: Composition, m: int, ctx: PrecisionContext) -> Decimal:
     """Exact gap vd_mod(c^(m)) - vd(c^(m)) = vd_mod(c) / (m * (a-1) + 1)."""
     numerics.parse_count(m, "replication count")
-    with ctx.working():
-        gap = c.volume.evaluate(ctx) / (c.atilde * (m * c.atilde + 1))
-    return numerics.round_to(gap, ctx)
+    return numerics.correctly_rounded(*c.volume.components(), c.atilde * (m * c.atilde + 1), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -191,5 +184,5 @@ def parse_recipe(text: str, catalog: Catalog) -> Composition:
 
 def format_recipe(c: Composition) -> str:
     return ",".join(
-        link.name if k == 1 else f"{link.name}*{k}" for link, k in c.parts
+        link.name if k == 1 else f"{link.name}*{numerics.rational_string(k)}" for link, k in c.parts
     )

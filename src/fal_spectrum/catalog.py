@@ -183,10 +183,6 @@ class Catalog:
             known = ", ".join(link.name for link in self.links)
             raise CatalogError(f"unknown link {name!r} (catalog has: {known})") from None
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(link.name for link in self.links)
-
 
 def builtin_catalog() -> Catalog:
     return Catalog.from_links(())
@@ -279,35 +275,15 @@ def validate_entry(link: BaseLink, ctx: PrecisionContext) -> list[Diagnostic]:
     """
     voct, vtet = numerics.raw_constants(ctx)
     tol = ctx.comparison_tolerance
-    out: list[Diagnostic] = []
+    a, parts = link.augmentations, link.volume.components()
     with ctx.working():
         vol = link.volume.evaluate(ctx)
-        density = vol / link.augmentations
-        if density < voct - tol:
-            out.append(
-                Diagnostic(
-                    "warning",
-                    link.name,
-                    f"vd = {numerics.round_to(density, ctx)} lies below the spectrum floor v_oct",
-                )
-            )
-        if density >= 10 * vtet - tol:
-            out.append(
-                Diagnostic(
-                    "warning",
-                    link.name,
-                    f"vd = {numerics.round_to(density, ctx)} is at or above 10*v_tet, "
-                    "which no fully augmented link attains",
-                )
-            )
-        miyamoto = 2 * (link.augmentations - 1) * voct
-        if vol < miyamoto - tol:
-            out.append(
-                Diagnostic(
-                    "warning",
-                    link.name,
-                    f"volume {numerics.round_to(vol, ctx)} is below the Miyamoto bound "
-                    f"2*(a-1)*v_oct = {numerics.round_to(miyamoto, ctx)}",
-                )
-            )
-    return out
+        failed = (vol / a < voct - tol, vol / a >= 10 * vtet - tol, vol < 2 * (a - 1) * voct - tol)
+    vd = numerics.correctly_rounded(*parts, a, ctx)
+    messages = (
+        f"vd = {vd} lies below the spectrum floor v_oct",
+        f"vd = {vd} is at or above 10*v_tet, which no fully augmented link attains",
+        f"volume {numerics.correctly_rounded(*parts, 1, ctx)} is below the Miyamoto bound "
+        f"2*(a-1)*v_oct = {numerics.correctly_rounded(2 * (a - 1), 0, 0, 1, ctx)}",
+    )
+    return [Diagnostic("warning", link.name, message) for bad, message in zip(failed, messages) if bad]

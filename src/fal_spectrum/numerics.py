@@ -42,12 +42,10 @@ v_oct is then enclosed by dividing by 16 and v_tet by dividing the
 interval for 3*sigma by twice the interval for pi, rounding each end
 outwards.  Ziv's rounding test ("Fast evaluation of elementary
 mathematical functions with correctly rounded last bit", ACM TOMS 17(3),
-1991) makes the result correctly rounded: both ends of each enclosure,
-and the working-precision value itself, must round alike at the working
-precision and, for v_oct, v_tet, 2*v_oct and 10*v_tet, at ``digits``;
-otherwise the sums are redone with twice the guard digits.  So
-``raw_constants`` is within half an ulp of the true constants at
-working precision, and the four public constants are correctly rounded.
+1991) makes a result correctly rounded: both ends of its enclosure must
+round alike, otherwise the sums are redone with twice the guard digits.
+``raw_constants`` settles the two constants at working precision for the
+window decisions, which compare within ``comparison_tolerance``.
 
 ``lobachevsky`` evaluates Lambda(theta) = -integral_0^theta log|2 sin t| dt
 by the expansion
@@ -62,12 +60,13 @@ Tangent and Secant numbers", arXiv:1108.0286).  Terms shrink by about
 not use it, so 8*Lambda(pi/4) and 2*Lambda(pi/6) are an independent check
 on them.
 
-Everything evaluated here and elsewhere in the package is a
-``decimal.Decimal`` carrying ``digits`` significant digits; internal
-arithmetic runs with guard digits and rounds to ``digits`` at the end.
-The public constants are rounded twice, to working precision and then to
-``digits``, and Ziv's test above guards the second rounding.  Constants
-are cached per precision and the cache is safe for concurrent readers.
+Every printed decimal is a value (c_oct*v_oct + c_tet*v_tet + r)/den with
+exact rationals c_oct, c_tet, r and an integer den, and its one evaluator,
+``correctly_rounded``, encloses it between integers from the constants'
+enclosures at the scale ``raw_constants`` uses and settles it by Ziv's
+test: the correctly rounded value with exactly ``digits`` significant
+digits.  Enclosures are cached per scale and the constants per precision;
+both caches are safe for concurrent readers.
 
 Every number and count a caller passes in enters through ``parse_decimal``,
 ``parse_rational`` or ``parse_count``: no floats, only finite numbers with
@@ -78,6 +77,7 @@ an exponent of at most MAX_EXPONENT in magnitude, and counts that are ints
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation, localcontext
 from fractions import Fraction
@@ -93,6 +93,7 @@ __all__ = [
     "MIN_DIGITS",
     "PrecisionContext",
     "combination",
+    "correctly_rounded",
     "exact_decimal_string",
     "fraction_to_decimal",
     "lobachevsky",
@@ -100,6 +101,7 @@ __all__ = [
     "parse_decimal",
     "parse_rational",
     "pi",
+    "rational_string",
     "raw_constants",
     "round_to",
     "ten_v_tet",
@@ -121,8 +123,7 @@ _GUARD = 10  # first extra digits of a fixed-point sum; doubled until Ziv's test
 _ZETA2_UPPER = Decimal("1.645")
 
 # A context that never rounds: it keeps (2n+1)! as an exact Decimal (an int
-# converted for every Lambda term costs time quadratic in its length) and
-# shifts fixed-point integers to their exact decimal values.
+# converted for every Lambda term costs time quadratic in its length).
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
@@ -264,6 +265,7 @@ def _pi_scaled(frac: int) -> tuple[int, int]:
     return big - small, 2 * (k_big + k_small) + 4
 
 
+@lru_cache(maxsize=None)
 def _enclosures(frac: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """((lo, hi), (lo, hi)) enclosing v_oct*10**frac and v_tet*10**frac."""
     scale = 10**frac
@@ -303,8 +305,8 @@ def _enclosures(frac: int) -> tuple[tuple[int, int], tuple[int, int]]:
 def _settle(lo: int, hi: int, frac: int, context: Context) -> Decimal | None:
     """What every number in [lo, hi]*10**-frac rounds to under ``context``,
     or None when the interval straddles a rounding boundary."""
-    value = context.plus(_EXACT.scaleb(lo, -frac))
-    return value if context.plus(_EXACT.scaleb(hi, -frac)) == value else None
+    value = context.create_decimal(lo)
+    return value.scaleb(-frac, context) if context.create_decimal(hi) == value else None
 
 
 # ---------------------------------------------------------------------------
@@ -376,60 +378,68 @@ def lobachevsky(theta: Decimal, ctx: PrecisionContext) -> Decimal:
 
 @lru_cache(maxsize=None)
 def raw_constants(ctx: PrecisionContext) -> tuple[Decimal, Decimal]:
-    """(v_oct, v_tet) correctly rounded to working precision, for arithmetic
-    that rounds once at the end.
-
-    Ziv's loop: redo the sums with more guard digits until each enclosure
-    settles at working precision and, scaled as the public constant is,
-    at ``digits``."""
-    work, final = _context(ctx.working_prec), _context(ctx.digits)
+    """(v_oct, v_tet) correctly rounded to working precision, for the window
+    decisions (Ziv's loop: more guard digits until both enclosures settle)."""
+    work = _context(ctx.working_prec)
     guard = _GUARD
     while True:
         frac = ctx.working_prec + guard
-        pair = []
-        # v_oct is printed as itself and doubled, v_tet as itself and times 10
-        for (lo, hi), scale in zip(_enclosures(frac), (2, 10)):
-            value = _settle(lo, hi, frac, work)
-            if value is None:
-                break
-            # value is rounded a second time at digits, which can differ
-            # from rounding the ends once, so it must agree with them too
-            points = (_EXACT.scaleb(lo, -frac), _EXACT.scaleb(hi, -frac), value)
-            if len({(final.plus(x), final.multiply(scale, x)) for x in points}) > 1:
-                break
-            pair.append(value)
-        else:
-            return pair[0], pair[1]
+        voct, vtet = (_settle(lo, hi, frac, work) for lo, hi in _enclosures(frac))
+        if voct is not None and vtet is not None:
+            return voct, vtet
+        guard *= 2
+
+
+def correctly_rounded(c_oct, c_tet, remainder, den: int, ctx: PrecisionContext) -> Decimal:
+    """(c_oct*v_oct + c_tet*v_tet + remainder)/den correctly rounded to
+    ``ctx.digits`` significant digits, all of them kept; the components are
+    signed ints or Fractions, ``den`` a positive int."""
+    common = math.lcm(c_oct.denominator, c_tet.denominator, remainder.denominator)
+    a, b, r = [x.numerator * (common // x.denominator) for x in (c_oct, c_tet, remainder)]
+    den *= common
+    # v_oct < 4 and v_tet < 2 put the value near 10**shift (log10(2) = 0.30103),
+    # so the sum at scale frac over 10**shift keeps about working_prec + guard digits
+    shift = ((4 * abs(a) + abs(b) + abs(r)).bit_length() - den.bit_length()) * 30103 // 100000
+    up, down = (1, den * 10**shift) if shift > 0 else (10**-shift, den)
+    final = _context(ctx.digits)
+    guard = _GUARD
+    while True:
+        frac = ctx.working_prec + guard
+        low = high = r * 10**frac
+        if a or b:  # each constant's end picked by its coefficient's sign
+            (o_lo, o_hi), (t_lo, t_hi) = _enclosures(frac)
+            low += a * (o_lo if a > 0 else o_hi) + b * (t_lo if b > 0 else t_hi)
+            high += a * (o_hi if a > 0 else o_lo) + b * (t_hi if b > 0 else t_lo)
+        value = _settle(low * up // down, -(-high * up // down), frac - shift, final)
+        if value is not None:
+            return value
         guard *= 2
 
 
 def v_oct(ctx: PrecisionContext) -> Decimal:
     """Volume of the regular ideal octahedron, 4*Catalan = 8*Lambda(pi/4)."""
-    return round_to(raw_constants(ctx)[0], ctx)
+    return correctly_rounded(1, 0, 0, 1, ctx)
 
 
 def v_tet(ctx: PrecisionContext) -> Decimal:
     """Volume of the regular ideal tetrahedron, Cl_2(pi/3) = 2*Lambda(pi/6)."""
-    return round_to(raw_constants(ctx)[1], ctx)
+    return correctly_rounded(0, 1, 0, 1, ctx)
 
 
 def two_v_oct(ctx: PrecisionContext) -> Decimal:
     """Lower edge of the dense density window."""
-    voct, _ = raw_constants(ctx)
-    with ctx.working():
-        return round_to(2 * voct, ctx)
+    return correctly_rounded(2, 0, 0, 1, ctx)
 
 
 def ten_v_tet(ctx: PrecisionContext) -> Decimal:
     """Unattainable upper edge of the density spectrum."""
-    _, vtet = raw_constants(ctx)
-    with ctx.working():
-        return round_to(10 * vtet, ctx)
+    return correctly_rounded(0, 10, 0, 1, ctx)
 
 
 def clear_caches() -> None:
-    """Drop the memoized constants, so the next evaluation is cold."""
+    """Drop the memoized constants and enclosures, so the next evaluation is cold."""
     raw_constants.cache_clear()
+    _enclosures.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +478,17 @@ def exact_decimal_string(value: Fraction) -> str | None:
     shift = max(twos, fives)
     scaled = value.numerator * 10**shift // value.denominator
     sign = "-" if scaled < 0 else ""
-    digits = str(abs(scaled)).rjust(shift + 1, "0")
+    digits = rational_string(abs(scaled)).rjust(shift + 1, "0")
     if shift == 0:
         return sign + digits
     return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
+
+
+def rational_string(value) -> str:
+    """str(value) of an int or Fraction, also past the 4300 digits that str()
+    of an int allows: Decimal(n) is exact and str() of a Decimal has no limit."""
+    try:
+        return str(value)
+    except ValueError:  # an int with more digits than str() converts
+        text = str(Decimal(value.numerator))
+        return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"

@@ -47,7 +47,7 @@ def test_load_single_entry_catalog():
 
 def test_builtin_present_unless_shadowed():
     cat = load_catalog(json.dumps({"links": [{"name": "S", "c_tet": "50", "a": 6}]}))
-    assert set(cat.names) == {"L41", "S"}
+    assert {link.name for link in cat} == {"L41", "S"}
     shadowed = load_catalog(json.dumps({"links": [{"name": "L41", "c_oct": "4", "a": 3}]}))
     assert len(shadowed) == 1
     assert shadowed["L41"].volume.c_oct == 4

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -175,6 +176,36 @@ def test_recipe_multiplicity_must_be_ascii_digits(capsys, recipe):
     assert code == 1
     assert out == ""
     assert err == f"error: bad multiplicity in recipe part {recipe!r}\n"
+
+
+# Exact integers longer than the 4300 digits str() of an int allows print in full.
+
+def test_multiplicity_past_the_str_digit_limit(capsys):
+    nines = "9" * 4300
+    code, out, err = run_cli(capsys, "density", "--recipe", f"L41*{nines}")
+    assert code == 0 and err == ""
+    pairs = kv_from_table(out)
+    assert pairs["recipe"] == f"L41*{nines}"
+    assert pairs["a"] == "1" + "0" * 4300
+    assert pairs["vol_exact"] == "1" + "9" * 4299 + "8*voct+0*vtet+0"  # 2*(10**4300 - 1)
+    assert pairs["vd_exact"] == f"{nines}/5{'0' * 4299}*voct+0*vtet+0"
+
+
+@pytest.mark.parametrize(
+    "argv,exact",
+    [
+        (["density", "{file}", "--recipe", "Big"], "1" + "0" * 5000),  # the volume
+        (["catalog", "list", "{file}"], "1" + "0" * 5000),
+        (["scan", "{file}", "--budget", "2"], "5" + "0" * 4999),  # vd_mod, over a - 1 = 2
+    ],
+    ids=["density", "catalog-list", "scan"],
+)
+def test_remainder_past_the_str_digit_limit(capsys, tmp_path, argv, exact):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"links": [{"name": "Big", "remainder": "1e5000", "a": 3}]}), encoding="utf-8")
+    code, out, err = run_cli(capsys, *(str(path) if arg == "{file}" else arg for arg in argv))
+    assert code == 0 and err == ""
+    assert f"0*voct+0*vtet+{exact}" in re.split(r"[\s,]+", out)
 
 
 def test_catalog_list(capsys, catalog_file):

@@ -258,20 +258,30 @@ def test_pi_correctly_rounded(reference):
 
 
 def test_ziv_retries_keep_correct_rounding(reference, monkeypatch):
-    # One guard digit is too few for the proven bounds, so most sums are redone.
-    calls = []
-    enclosures = numerics._enclosures
-
-    def counted(frac):
-        calls.append(frac)
-        return enclosures(frac)
-
+    # One guard digit leaves the proven bounds almost no room, and every
+    # constant must still come out correctly rounded.  The cache counts the
+    # enclosure calls since each cold start, hits included.
     monkeypatch.setattr(numerics, "_GUARD", 1)
-    monkeypatch.setattr(numerics, "_enclosures", counted)
+    calls = 0
     digits = range(20, 81)
     for d in digits:
         assert _constants_cold(d) == _expected(reference, d)
-    assert len(calls) > len(digits)
+        info = numerics._enclosures.cache_info()
+        calls += info.hits + info.misses
+    assert calls > len(digits)
+
+
+def test_clear_caches_recomputes_the_enclosures():
+    ctx = PrecisionContext(30)
+    numerics.clear_caches()
+    v_oct(ctx)
+    assert numerics._enclosures.cache_info().misses == 1
+    v_tet(ctx)
+    assert numerics._enclosures.cache_info().misses == 1  # one enclosure serves both constants
+    numerics.clear_caches()
+    assert numerics._enclosures.cache_info().currsize == 0
+    v_oct(ctx)
+    assert numerics._enclosures.cache_info().misses == 1
 
 
 def test_proven_enclosures_contain_reference(reference):
