@@ -123,7 +123,8 @@ _GUARD = 10  # first extra digits of a fixed-point sum; doubled until Ziv's test
 _ZETA2_UPPER = Decimal("1.645")
 
 # A context that never rounds: it keeps (2n+1)! as an exact Decimal (an int
-# converted for every Lambda term costs time quadratic in its length).
+# converted for every Lambda term costs time quadratic in its length) and
+# shifts fixed-point integers to their exact decimal values.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
@@ -305,8 +306,8 @@ def _enclosures(frac: int) -> tuple[tuple[int, int], tuple[int, int]]:
 def _settle(lo: int, hi: int, frac: int, context: Context) -> Decimal | None:
     """What every number in [lo, hi]*10**-frac rounds to under ``context``,
     or None when the interval straddles a rounding boundary."""
-    value = context.create_decimal(lo)
-    return value.scaleb(-frac, context) if context.create_decimal(hi) == value else None
+    value = context.plus(_EXACT.scaleb(lo, -frac))
+    return value if context.plus(_EXACT.scaleb(hi, -frac)) == value else None
 
 
 # ---------------------------------------------------------------------------

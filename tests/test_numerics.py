@@ -5,7 +5,8 @@ tangent numbers and the per-precision constant cache."""
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from decimal import Context, Decimal
+from decimal import ROUND_DOWN, Context, Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -258,17 +259,34 @@ def test_pi_correctly_rounded(reference):
 
 
 def test_ziv_retries_keep_correct_rounding(reference, monkeypatch):
-    # One guard digit leaves the proven bounds almost no room, and every
-    # constant must still come out correctly rounded.  The cache counts the
-    # enclosure calls since each cold start, hits included.
+    # One guard digit is too few for the proven bounds, so raw_constants,
+    # which settles at working precision, redoes most sums; every constant
+    # must still come out correctly rounded.  Each scale summed since a cold
+    # start is one miss of the enclosure cache.
     monkeypatch.setattr(numerics, "_GUARD", 1)
-    calls = 0
+    voct, vtet, _ = reference
+    misses = 0
     digits = range(20, 81)
     for d in digits:
         assert _constants_cold(d) == _expected(reference, d)
-        info = numerics._enclosures.cache_info()
-        calls += info.hits + info.misses
-    assert calls > len(digits)
+        numerics.clear_caches()
+        work = d + numerics.GUARD_DIGITS
+        raw = numerics.raw_constants(PrecisionContext(d))
+        assert raw == (_correctly_rounded(voct, work), _correctly_rounded(vtet, work))
+        misses += numerics._enclosures.cache_info().misses
+    assert misses > len(digits)
+
+
+def test_correctly_rounded_retries_near_a_tie(reference):
+    # v_oct + r lies within 1e-59 above a tie at 20 digits, so the first
+    # enclosures straddle it and the sums are redone with more guard digits.
+    voct = reference[0]
+    tie = Context(prec=20, rounding=ROUND_DOWN).plus(voct) + Decimal("5e-20")
+    r = _WIDE.subtract(tie, Context(prec=61, rounding=ROUND_DOWN).plus(voct))
+    numerics.clear_caches()
+    got = numerics.correctly_rounded(1, 0, Fraction(r), 1, PrecisionContext(20))
+    assert got == _correctly_rounded(_WIDE.add(voct, r), 20) == tie.next_plus(Context(prec=20))
+    assert numerics._enclosures.cache_info().misses > 1
 
 
 def test_clear_caches_recomputes_the_enclosures():
