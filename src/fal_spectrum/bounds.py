@@ -79,74 +79,55 @@ def vd_lower_bound(a: int, ctx: PrecisionContext) -> Decimal:
     return numerics.correctly_rounded(2 * (a - 1), 0, 0, a, ctx)
 
 
-def _density_parts(value) -> tuple[Fraction, Fraction, Fraction]:
-    """Normalize a density input to exact (c_oct, c_tet, remainder) parts."""
+def _density_parts(value, ctx: PrecisionContext) -> tuple[tuple[Fraction, Fraction, Fraction], Fraction]:
+    """A density input's exact (c_oct, c_tet, remainder) parts and its slack:
+    0 for an exact input, the context tolerance for a decimal one."""
     if isinstance(value, DensityValue):
-        return value.exact_parts()
+        return value.exact_parts(), Fraction(0)
     if isinstance(value, ExactVolume):
-        return value.components()
-    return (Fraction(0), Fraction(0), Fraction(numerics.parse_decimal(value, "density")))
+        return value.components(), Fraction(0)
+    density = Fraction(numerics.parse_decimal(value, "density"))
+    return (Fraction(0), Fraction(0), density), Fraction(ctx.comparison_tolerance)
 
 
-def _sign_against(parts, oct_coeff: int, tet_coeff: int, ctx: PrecisionContext) -> int:
-    """Sign of (parts - boundary) where boundary = oct_coeff*v_oct + tet_coeff*v_tet.
-
-    Decided symbolically when all component differences share a sign,
-    numerically with the context tolerance otherwise."""
-    d_oct = parts[0] - oct_coeff
-    d_tet = parts[1] - tet_coeff
-    d_rem = parts[2]
-    if d_oct >= 0 and d_tet >= 0 and d_rem >= 0:
-        return 0 if not (d_oct or d_tet or d_rem) else 1
-    if d_oct <= 0 and d_tet <= 0 and d_rem <= 0:
-        return -1
-    value = numerics.combination(d_oct, d_tet, d_rem, ctx)
-    if abs(value) <= ctx.comparison_tolerance:
-        return 0
-    return 1 if value > 0 else -1
+def _below(parts, slack: Fraction, oct_coeff: int, tet_coeff: int, ctx: PrecisionContext) -> bool:
+    """Whether parts + slack lies below oct_coeff*v_oct + tet_coeff*v_tet, by a proven sign."""
+    return numerics.sign(parts[0] - oct_coeff, parts[1] - tet_coeff, parts[2] + slack, ctx) < 0
 
 
 def classify(density, ctx: PrecisionContext) -> WindowClass:
     """Place a density against the half-open windows
     [v_oct, 2*v_oct) discrete and [2*v_oct, 10*v_tet) dense.
 
-    Accepts a Decimal, an ExactVolume, or a DensityValue; exact inputs
-    are classified symbolically, decimals within the context tolerance of
-    a boundary count as sitting on it."""
-    parts = _density_parts(density)
-    if _sign_against(parts, 1, 0, ctx) < 0:
+    Accepts a Decimal, an ExactVolume, or a DensityValue.  Every boundary is
+    decided by ``numerics.sign``: exactly for exact inputs (up to its cap),
+    and for a decimal with the context tolerance added, so a decimal within
+    the tolerance below a boundary counts as sitting on it."""
+    parts, slack = _density_parts(density, ctx)
+    if _below(parts, slack, 1, 0, ctx):
         return WindowClass.BELOW_SPECTRUM
-    if _sign_against(parts, 2, 0, ctx) < 0:
+    if _below(parts, slack, 2, 0, ctx):
         return WindowClass.DISCRETE_WINDOW
-    if _sign_against(parts, 0, 10, ctx) < 0:
+    if _below(parts, slack, 0, 10, ctx):
         return WindowClass.DENSE_WINDOW
     return WindowClass.AT_OR_ABOVE_UPPER_BOUND
 
 
 def max_augmentations_below(density, ctx: PrecisionContext) -> Certificate:
-    """Certificate for a threshold in the discrete window [v_oct, 2*v_oct).
+    """Certificate for a threshold t in the discrete window [v_oct, 2*v_oct).
 
-    Returns the largest a with 2*v_oct*(a-1)/a <= threshold; any link
-    with more augmentations has density strictly above the threshold, and
-    only finitely many links exist per augmentation count."""
-    parts = _density_parts(density)
-    if _sign_against(parts, 1, 0, ctx) < 0:
+    Returns the largest a with 2*v_oct*(a-1)/a <= t, floor(2*v_oct/(2*v_oct - t))
+    exactly; any link with more augmentations has density strictly above t,
+    and only finitely many links exist per augmentation count.  A decimal t
+    is widened by the context tolerance, as in ``classify``."""
+    parts, slack = _density_parts(density, ctx)
+    if _below(parts, slack, 1, 0, ctx):
         raise DomainError("threshold lies below the spectrum floor v_oct; nothing to certify")
-    if _sign_against(parts, 2, 0, ctx) >= 0:
+    if not _below(parts, slack, 2, 0, ctx):
         raise DomainError(
             "threshold reaches the dense window at 2*v_oct; no finite certificate exists there"
         )
-    voct, _ = numerics.raw_constants(ctx)
-    evaluated = numerics.combination(*parts, ctx)
-    two_voct = 2 * Fraction(voct)
-    target = Fraction(evaluated) + Fraction(ctx.comparison_tolerance)
-    if target >= two_voct:
-        raise DomainError(
-            "threshold is within tolerance of 2*v_oct; no finite certificate exists there"
-        )
-
-    # 2*v_oct*(a-1)/a <= target  iff  a <= 2*v_oct / (2*v_oct - target), exactly
-    n = max(2, int(two_voct / (two_voct - target)))
+    n = numerics.floor_quotient((2, 0, 0), (2 - parts[0], -parts[1], -parts[2] - slack), ctx)
     threshold = numerics.correctly_rounded(*parts, 1, ctx)
     return Certificate(
         threshold=threshold,

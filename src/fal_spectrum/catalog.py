@@ -95,8 +95,8 @@ class ExactVolume:
     __rmul__ = __mul__
 
     def evaluate(self, ctx: PrecisionContext) -> Decimal:
-        """The volume at working precision, unrounded."""
-        return numerics.combination(self.c_oct, self.c_tet, self.remainder, ctx)
+        """The volume correctly rounded to ``ctx.digits``."""
+        return numerics.correctly_rounded(self.c_oct, self.c_tet, self.remainder, 1, ctx)
 
     def remainder_decimal_string(self) -> str:
         text = numerics.exact_decimal_string(self.remainder)
@@ -195,7 +195,7 @@ def load_catalog(source: str) -> Catalog:
     """Parse a catalog document; the builtin L41 is present unless shadowed."""
     try:
         doc = json.loads(source)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past str()'s digit limit
         raise CatalogError(f"malformed catalog JSON: {exc}") from exc
     except RecursionError:
         raise CatalogError("malformed catalog JSON: arrays or objects nested too deeply") from None
@@ -267,23 +267,25 @@ class Diagnostic:
 
 
 def validate_entry(link: BaseLink, ctx: PrecisionContext) -> list[Diagnostic]:
-    """Soft checks against the known density window.
+    """Soft checks against the known density window, each decided exactly
+    by ``numerics.sign``, so a printed value can equal its bound when the two
+    differ past its last digit.
 
     Violations are warnings, not errors: synthetic or hypothetical entries
     are allowed so the search engine can be exercised across the whole
     window.
     """
-    voct, vtet = numerics.raw_constants(ctx)
-    tol = ctx.comparison_tolerance
-    a, parts = link.augmentations, link.volume.components()
-    with ctx.working():
-        vol = link.volume.evaluate(ctx)
-        failed = (vol / a < voct - tol, vol / a >= 10 * vtet - tol, vol < 2 * (a - 1) * voct - tol)
-    vd = numerics.correctly_rounded(*parts, a, ctx)
+    a, (c_oct, c_tet, remainder) = link.augmentations, link.volume.components()
+    failed = (
+        numerics.sign(c_oct - a, c_tet, remainder, ctx) < 0,
+        numerics.sign(c_oct, c_tet - 10 * a, remainder, ctx) >= 0,
+        numerics.sign(c_oct - 2 * (a - 1), c_tet, remainder, ctx) < 0,
+    )
+    vd = numerics.correctly_rounded(c_oct, c_tet, remainder, a, ctx)
     messages = (
         f"vd = {vd} lies below the spectrum floor v_oct",
         f"vd = {vd} is at or above 10*v_tet, which no fully augmented link attains",
-        f"volume {numerics.correctly_rounded(*parts, 1, ctx)} is below the Miyamoto bound "
+        f"volume {link.volume.evaluate(ctx)} is below the Miyamoto bound "
         f"2*(a-1)*v_oct = {numerics.correctly_rounded(2 * (a - 1), 0, 0, 1, ctx)}",
     )
     return [Diagnostic("warning", link.name, message) for bad, message in zip(failed, messages) if bad]

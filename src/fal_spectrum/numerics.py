@@ -5,7 +5,7 @@ The two constants that govern the density windows are
     v_oct = 4*G          (regular ideal octahedron; G is Catalan's constant)
     v_tet = Cl_2(pi/3)   (regular ideal tetrahedron)
 
-and ``raw_constants`` sums one rational series for each:
+``_enclosures`` sums one rational series for each:
 
     v_oct = (1/16) * sum_{n>=1} (-1)^(n-1) * h_n * c_n / d_n          (Lupas)
         h_0 = 1,  h_n / h_(n-1) = 32 n^3 (2n-1) / ((4n-1)(4n-3))^2,
@@ -44,8 +44,6 @@ outwards.  Ziv's rounding test ("Fast evaluation of elementary
 mathematical functions with correctly rounded last bit", ACM TOMS 17(3),
 1991) makes a result correctly rounded: both ends of its enclosure must
 round alike, otherwise the sums are redone with twice the guard digits.
-``raw_constants`` settles the two constants at working precision for the
-window decisions, which compare within ``comparison_tolerance``.
 
 ``lobachevsky`` evaluates Lambda(theta) = -integral_0^theta log|2 sin t| dt
 by the expansion
@@ -63,10 +61,12 @@ on them.
 Every printed decimal is a value (c_oct*v_oct + c_tet*v_tet + r)/den with
 exact rationals c_oct, c_tet, r and an integer den, and its one evaluator,
 ``correctly_rounded``, encloses it between integers from the constants'
-enclosures at the scale ``raw_constants`` uses and settles it by Ziv's
-test: the correctly rounded value with exactly ``digits`` significant
-digits.  Enclosures are cached per scale and the constants per precision;
-both caches are safe for concurrent readers.
+enclosures and settles it by Ziv's test: the correctly rounded value with
+exactly ``digits`` significant digits.  Every window decision is the sign
+of such a value, which ``sign`` proves by doubling the guard digits until
+the enclosure excludes 0; past MAX_DIGITS of guard a value still not
+separated counts as 0, since whether 1, G and Cl_2(pi/3) are independent
+over Q is open.  The enclosure cache is safe for concurrent readers.
 
 Every number and count a caller passes in enters through ``parse_decimal``,
 ``parse_rational`` or ``parse_count``: no floats, only finite numbers with
@@ -95,6 +95,7 @@ __all__ = [
     "combination",
     "correctly_rounded",
     "exact_decimal_string",
+    "floor_quotient",
     "fraction_to_decimal",
     "lobachevsky",
     "parse_count",
@@ -102,8 +103,8 @@ __all__ = [
     "parse_rational",
     "pi",
     "rational_string",
-    "raw_constants",
     "round_to",
+    "sign",
     "ten_v_tet",
     "two_v_oct",
     "v_oct",
@@ -377,26 +378,28 @@ def lobachevsky(theta: Decimal, ctx: PrecisionContext) -> Decimal:
 # ---------------------------------------------------------------------------
 # The two volume constants
 
-@lru_cache(maxsize=None)
-def raw_constants(ctx: PrecisionContext) -> tuple[Decimal, Decimal]:
-    """(v_oct, v_tet) correctly rounded to working precision, for the window
-    decisions (Ziv's loop: more guard digits until both enclosures settle)."""
-    work = _context(ctx.working_prec)
-    guard = _GUARD
-    while True:
-        frac = ctx.working_prec + guard
-        voct, vtet = (_settle(lo, hi, frac, work) for lo, hi in _enclosures(frac))
-        if voct is not None and vtet is not None:
-            return voct, vtet
-        guard *= 2
+def _integers(c_oct, c_tet, remainder) -> tuple[int, int, int, int]:
+    """(a, b, r, common): the components as ints over their least common denominator."""
+    common = math.lcm(c_oct.denominator, c_tet.denominator, remainder.denominator)
+    a, b, r = [x.numerator * (common // x.denominator) for x in (c_oct, c_tet, remainder)]
+    return a, b, r, common
+
+
+def _enclose(a: int, b: int, r: int, frac: int) -> tuple[int, int]:
+    """(low, high) enclosing (a*v_oct + b*v_tet + r)*10**frac for ints a, b, r."""
+    low = high = r * 10**frac
+    if a or b:  # each constant's end picked by its coefficient's sign
+        (o_lo, o_hi), (t_lo, t_hi) = _enclosures(frac)
+        low += a * (o_lo if a > 0 else o_hi) + b * (t_lo if b > 0 else t_hi)
+        high += a * (o_hi if a > 0 else o_lo) + b * (t_hi if b > 0 else t_lo)
+    return low, high
 
 
 def correctly_rounded(c_oct, c_tet, remainder, den: int, ctx: PrecisionContext) -> Decimal:
     """(c_oct*v_oct + c_tet*v_tet + remainder)/den correctly rounded to
     ``ctx.digits`` significant digits, all of them kept; the components are
     signed ints or Fractions, ``den`` a positive int."""
-    common = math.lcm(c_oct.denominator, c_tet.denominator, remainder.denominator)
-    a, b, r = [x.numerator * (common // x.denominator) for x in (c_oct, c_tet, remainder)]
+    a, b, r, common = _integers(c_oct, c_tet, remainder)
     den *= common
     # v_oct < 4 and v_tet < 2 put the value near 10**shift (log10(2) = 0.30103),
     # so the sum at scale frac over 10**shift keeps about working_prec + guard digits
@@ -406,14 +409,44 @@ def correctly_rounded(c_oct, c_tet, remainder, den: int, ctx: PrecisionContext) 
     guard = _GUARD
     while True:
         frac = ctx.working_prec + guard
-        low = high = r * 10**frac
-        if a or b:  # each constant's end picked by its coefficient's sign
-            (o_lo, o_hi), (t_lo, t_hi) = _enclosures(frac)
-            low += a * (o_lo if a > 0 else o_hi) + b * (t_lo if b > 0 else t_hi)
-            high += a * (o_hi if a > 0 else o_lo) + b * (t_hi if b > 0 else t_lo)
+        low, high = _enclose(a, b, r, frac)
         value = _settle(low * up // down, -(-high * up // down), frac - shift, final)
         if value is not None:
             return value
+        guard *= 2
+
+
+def sign(c_oct, c_tet, remainder, ctx: PrecisionContext) -> int:
+    """The sign, -1, 0 or 1, of c_oct*v_oct + c_tet*v_tet + remainder (signed
+    ints or Fractions), proven: the guard digits double until the enclosure
+    excludes 0, and with c_oct = c_tet = 0 it is exact at once.  A true zero
+    with a constant in it cannot be ruled out (whether 1, G and Cl_2(pi/3) are
+    independent over Q is open), so a value still not separated from 0 once
+    the guard has passed MAX_DIGITS counts as 0."""
+    a, b, r, _ = _integers(c_oct, c_tet, remainder)
+    guard = _GUARD
+    while True:
+        low, high = _enclose(a, b, r, ctx.working_prec + guard)
+        if low > 0 or high < 0 or not (a or b) or guard > MAX_DIGITS:
+            return (low > 0) - (high < 0)
+        guard *= 2
+
+
+def floor_quotient(num, den, ctx: PrecisionContext) -> int:
+    """floor(x/y) for positive x and y, each a (c_oct, c_tet, remainder) triple
+    as ``sign`` takes it.  The quotient is enclosed until its floor is k or
+    k + 1, and the sign of x - (k+1)*y picks one (a 0 under ``sign``'s cap
+    picks k + 1)."""
+    a, b, r, p = _integers(*num)
+    c, d, s, q = _integers(*den)  # x/y = X*q / (Y*p) for X, Y the integer combinations
+    guard = _GUARD
+    while True:
+        frac = ctx.working_prec + guard
+        (x_lo, x_hi), (y_lo, y_hi) = _enclose(a, b, r, frac), _enclose(c, d, s, frac)
+        if y_lo > 0:
+            k, k_hi = x_lo * q // (y_hi * p), x_hi * q // (y_lo * p)
+            if k_hi <= k + 1:
+                return k if k_hi == k else k + (sign(*(u - k_hi * v for u, v in zip(num, den)), ctx) >= 0)
         guard *= 2
 
 
@@ -438,8 +471,7 @@ def ten_v_tet(ctx: PrecisionContext) -> Decimal:
 
 
 def clear_caches() -> None:
-    """Drop the memoized constants and enclosures, so the next evaluation is cold."""
-    raw_constants.cache_clear()
+    """Drop the memoized enclosures, so the next evaluation is cold."""
     _enclosures.cache_clear()
 
 
@@ -453,36 +485,21 @@ def fraction_to_decimal(value: Fraction, ctx: PrecisionContext) -> Decimal:
 
 
 def combination(c_oct: Fraction, c_tet: Fraction, remainder: Fraction, ctx: PrecisionContext) -> Decimal:
-    """c_oct*v_oct + c_tet*v_tet + remainder at working precision, unrounded
-    (coefficients may be signed)."""
-    voct, vtet = raw_constants(ctx)
-    with ctx.working():
-        return (
-            fraction_to_decimal(c_oct, ctx) * voct
-            + fraction_to_decimal(c_tet, ctx) * vtet
-            + fraction_to_decimal(remainder, ctx)
-        )
+    """c_oct*v_oct + c_tet*v_tet + remainder (coefficients may be signed)
+    correctly rounded to ``ctx.digits``."""
+    return correctly_rounded(c_oct, c_tet, remainder, 1, ctx)
 
 
 def exact_decimal_string(value: Fraction) -> str | None:
     """Render a rational as its exact finite decimal, or None if it has none."""
-    den = value.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den != 1:
+    # a denominator 2**i * 5**j divides 10**shift, as its bit length is at least max(i, j)
+    shift = value.denominator.bit_length()
+    scaled, rest = divmod(abs(value.numerator) * 10**shift, value.denominator)
+    if rest:
         return None
-    shift = max(twos, fives)
-    scaled = value.numerator * 10**shift // value.denominator
-    sign = "-" if scaled < 0 else ""
-    digits = rational_string(abs(scaled)).rjust(shift + 1, "0")
-    if shift == 0:
-        return sign + digits
-    return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
+    digits = rational_string(scaled).rjust(shift + 1, "0")
+    whole, fraction = digits[:-shift], digits[-shift:].rstrip("0")
+    return ("-" if value.numerator < 0 else "") + (f"{whole}.{fraction}" if fraction else whole)
 
 
 def rational_string(value) -> str:

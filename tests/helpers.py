@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 from decimal import Decimal
+from fractions import Fraction
 
 from fal_spectrum import BaseLink, ExactVolume
 from fal_spectrum.numerics import PrecisionContext, _pi_at
+
+# v_oct + PROBE_TET*v_tet lies 8.5e-33 below 2*v_oct (mpmath), closer than the
+# comparison tolerance at 20 and 30 digits.
+PROBE_TET = Fraction(26507018463176257, 7342818352340129)
 
 
 def make_link(name, c_oct=0, c_tet=0, remainder="0", a=2, note="synthetic test link"):

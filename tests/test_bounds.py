@@ -4,7 +4,9 @@ import random
 import time
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import pytest
 
 from fal_spectrum import (
@@ -24,8 +26,8 @@ from fal_spectrum import (
     self_sum,
 )
 from fal_spectrum import bounds
-from fal_spectrum.numerics import round_to, ten_v_tet, two_v_oct, v_oct
-from helpers import make_link
+from fal_spectrum.numerics import PrecisionContext, round_to, ten_v_tet, two_v_oct, v_oct
+from helpers import PROBE_TET, make_link
 from oracles import count_scan_rows
 
 
@@ -142,6 +144,73 @@ def test_classify_is_a_partition(ctx):
     probes = [Decimal(i) / 4 for i in range(0, 48)]
     for probe in probes:
         assert isinstance(classify(probe, ctx), WindowClass)
+
+
+# ---------------------------------------------------------------------------
+# decisions on exact input near a boundary, against mpmath
+
+def _mp_probe(remainder=0):
+    """(2*v_oct - probe, probe) by mpmath at 120 digits."""
+    with mpmath.workdps(120):
+        voct = 4 * mpmath.catalan
+        value = voct + PROBE_TET.numerator * mpmath.clsin(2, mpmath.pi / 3) / PROBE_TET.denominator
+        value += mpmath.mpf(remainder.numerator) / remainder.denominator if remainder else 0
+        return 2 * voct - value, value
+
+
+@pytest.mark.parametrize("digits", [20, 30, 40])
+def test_probe_below_two_voct_is_discrete(digits):
+    assert 0 < _mp_probe()[0] < mpmath.mpf("1e-32")
+    probe = ExactVolume(1, PROBE_TET, 0)
+    assert classify(probe, PrecisionContext(digits)) is WindowClass.DISCRETE_WINDOW
+
+
+@pytest.mark.parametrize("digits", [20, 30, 40])
+def test_probe_mirror_above_two_voct_is_dense(digits):
+    remainder = Fraction(1, 10**32)
+    assert -mpmath.mpf("1e-32") < _mp_probe(remainder)[0] < 0
+    mirror = ExactVolume(1, PROBE_TET, remainder)
+    assert classify(mirror, PrecisionContext(digits)) is WindowClass.DENSE_WINDOW
+
+
+@pytest.mark.parametrize("digits", [20, 30, 40])
+def test_probe_certificate_is_the_exact_floor(digits):
+    gap, value = _mp_probe()
+    with mpmath.workdps(120):
+        expected = int(mpmath.floor((value + gap) / gap))  # 2*v_oct / (2*v_oct - t)
+    assert expected == 862029258296913429903366667497505
+    certificate = max_augmentations_below(ExactVolume(1, PROBE_TET, 0), PrecisionContext(digits))
+    assert certificate.max_augmentations == expected
+
+
+def test_certificate_for_an_exact_threshold_a_thousand_digits_below_two_voct(ctx):
+    # 2*v_oct/(2*v_oct - t) is the integer 2e1020: the quotient's floor is
+    # decided by an exact zero, not by a tolerance
+    threshold = ExactVolume(c_oct=2 - Fraction(1, 10**1020))
+    assert max_augmentations_below(threshold, ctx).max_augmentations == 2 * 10**1020
+
+
+def test_certificate_ladder_rungs_bracket_their_thresholds(capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
+    import certificate_ladder
+
+    steps = 12
+    assert certificate_ladder.main(["--steps", str(steps)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == steps
+    ctx = PrecisionContext(30)
+    with ctx.working():
+        voct = v_oct(ctx)
+        thresholds = [voct * (1 + Decimal(i) / steps) for i in range(steps)]
+    with mpmath.workdps(60):
+        two_voct = 8 * mpmath.catalan
+        for row, threshold in zip(rows, thresholds):
+            printed, n = row.split()[:2]
+            assert printed == str(threshold)[:12]
+            # the rule for a decimal threshold: widened by the context tolerance
+            t = mpmath.mpf(str(threshold)) + mpmath.mpf(str(ctx.comparison_tolerance))
+            n = int(n)
+            assert two_voct * (n - 1) / n <= t < two_voct * n / (n + 1)
 
 
 # ---------------------------------------------------------------------------

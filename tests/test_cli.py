@@ -266,6 +266,35 @@ def test_unreadable_catalog_is_one_error_line(tmp_path, content, message):
     assert message in proc.stderr
 
 
+def test_catalog_integer_past_the_str_digit_limit_is_one_error_line(tmp_path):
+    path = tmp_path / "links.json"
+    path.write_text('{"links": [{"name": "X", "c_oct": "1", "a": ' + "1" * 5000 + "}]}", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fal_spectrum", "catalog", "list", str(path)],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: malformed catalog JSON: ")
+
+
+def test_validate_decides_each_warning_exactly(capsys, tmp_path):
+    # vd of "Top" lies 1e-27*v_tet/2 below 10*v_tet and vd of "Thin" 1e-30*v_oct/2
+    # below v_oct: both closer than the tolerance, so only exact signs tell
+    links = [
+        {"name": "Top", "c_tet": "19.999999999999999999999999999", "a": 2},
+        {"name": "Thin", "c_oct": "1.999999999999999999999999999999", "a": 2},
+    ]
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"links": links}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(path), "--format", "json")
+    assert code == 0, err
+    messages = [row["message"] for row in json.loads(out)]
+    assert {row["link"] for row in json.loads(out)} == {"Thin"}
+    assert len(messages) == 2
+    assert "below the spectrum floor v_oct" in messages[0]
+    assert "below the Miyamoto bound" in messages[1]
+
+
 def test_validate_missing_file(capsys):
     code, _, err = run_cli(capsys, "validate", "/nonexistent/links.json")
     assert code == 1

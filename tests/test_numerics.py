@@ -1,16 +1,29 @@
 """Lobachevsky series against the quadrature oracle, precision contracts,
-correct rounding and proven enclosures of the constants, the exact
-tangent numbers and the per-precision constant cache."""
+correct rounding and proven enclosures of the constants, the proven sign
+and floor quotient of exact combinations, the exact tangent numbers, the
+enclosure cache and exact decimal strings."""
 
+import functools
+import math
 import random
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from decimal import ROUND_DOWN, Context, Decimal
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
-from fal_spectrum import ConfigurationError, DomainError
+from fal_spectrum import (
+    ConfigurationError,
+    DomainError,
+    ExactVolume,
+    WindowClass,
+    classify,
+    max_augmentations_below,
+)
 from fal_spectrum import numerics
 from fal_spectrum.numerics import (
     PrecisionContext,
@@ -22,7 +35,7 @@ from fal_spectrum.numerics import (
     v_oct,
     v_tet,
 )
-from helpers import pi_angle
+from helpers import PROBE_TET, pi_angle
 from oracles import (
     closed_form_constants,
     lobachevsky_quadrature,
@@ -259,22 +272,76 @@ def test_pi_correctly_rounded(reference):
 
 
 def test_ziv_retries_keep_correct_rounding(reference, monkeypatch):
-    # One guard digit is too few for the proven bounds, so raw_constants,
-    # which settles at working precision, redoes most sums; every constant
-    # must still come out correctly rounded.  Each scale summed since a cold
-    # start is one miss of the enclosure cache.
+    # One guard digit is too few for the proven bounds.  The constants settle
+    # at ``digits`` with five working digits to spare, but ``sign`` must
+    # separate the probe, 8.5e-33 below 2*v_oct, from 0, and at 20-30 digits
+    # it doubles the guard and redoes the sums.  Every constant must still
+    # come out correctly rounded and every sign be mpmath's.  Each scale
+    # summed since a cold start is one miss of the enclosure cache.
     monkeypatch.setattr(numerics, "_GUARD", 1)
     voct, vtet, _ = reference
+    gap = _WIDE.subtract(_WIDE.divide(_WIDE.multiply(vtet, PROBE_TET.numerator), PROBE_TET.denominator), voct)
+    assert -Decimal("1e-32") < gap < 0  # probe - 2*v_oct = PROBE_TET*v_tet - v_oct
     misses = 0
     digits = range(20, 81)
     for d in digits:
         assert _constants_cold(d) == _expected(reference, d)
         numerics.clear_caches()
-        work = d + numerics.GUARD_DIGITS
-        raw = numerics.raw_constants(PrecisionContext(d))
-        assert raw == (_correctly_rounded(voct, work), _correctly_rounded(vtet, work))
+        assert numerics.sign(-1, PROBE_TET, 0, PrecisionContext(d)) == -1
         misses += numerics._enclosures.cache_info().misses
     assert misses > len(digits)
+
+
+def test_sign_counts_a_value_unseparated_past_the_cap_as_zero(monkeypatch):
+    ctx = PrecisionContext(20)  # built before the cap drops below its digits
+    monkeypatch.setattr(numerics, "MAX_DIGITS", 4)
+    monkeypatch.setattr(numerics, "_GUARD", 1)
+    # guards 1, 2, 4 and 8 sum at 26 to 33 digits, too few for a gap of 8.5e-33
+    assert numerics.sign(-1, PROBE_TET, 0, ctx) == 0
+    probe = ExactVolume(1, PROBE_TET, 0)
+    assert classify(probe, ctx) is WindowClass.DENSE_WINDOW  # counted as on 2*v_oct
+    with pytest.raises(DomainError, match="reaches the dense window"):
+        max_augmentations_below(probe, ctx)
+    # a gap the cap can see keeps its sign, and no cap touches an exact value
+    assert numerics.sign(-1, Fraction(7, 2), 0, ctx) == -1
+    assert numerics.sign(0, 0, Fraction(-1, 10**5000), ctx) == -1
+    assert numerics.sign(Fraction(1, 3), 0, 0, ctx) == 1
+
+
+@functools.cache
+def _mp_constants():
+    with mpmath.workdps(90):
+        return 4 * mpmath.catalan, mpmath.clsin(2, mpmath.pi / 3), mpmath.mpf(1)
+
+
+def _mp_value(triple):
+    """c_oct*v_oct + c_tet*v_tet + remainder by mpmath at its current precision."""
+    return sum(mpmath.mpf(c.numerator) / c.denominator * v for c, v in zip(triple, _mp_constants()))
+
+
+_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=10**6)
+
+
+@given(st.tuples(_fractions, _fractions, _fractions))
+def test_sign_matches_mpmath(triple):
+    with mpmath.workdps(80):
+        value = _mp_value(triple)
+    assert numerics.sign(*triple, PrecisionContext(20)) == (value > 0) - (value < 0)
+
+
+_positive = st.fractions(min_value=0, max_value=20, max_denominator=1000)
+_triples = st.tuples(_positive, _positive, _positive).filter(any)
+
+
+@given(_triples, _triples)
+def test_floor_quotient_matches_mpmath(num, den):
+    ratio = next(n / d for n, d in zip(num, den) if d)
+    if all(n == ratio * d for n, d in zip(num, den)):
+        expected = math.floor(ratio)  # x/y is rational, and mpmath may round it onto an integer
+    else:
+        with mpmath.workdps(80):
+            expected = int(mpmath.floor(_mp_value(num) / _mp_value(den)))
+    assert numerics.floor_quotient(num, den, PrecisionContext(20)) == expected
 
 
 def test_correctly_rounded_retries_near_a_tie(reference):
@@ -313,6 +380,36 @@ def test_proven_enclosures_contain_reference(reference):
         ):
             assert lo < _WIDE.scaleb(value, frac) < hi, (label, frac)
             assert hi - lo < 20 * frac  # the bounds stay tight enough for Ziv's test
+
+
+def _finite_decimal_denominator(den: int) -> bool:
+    for prime in (2, 5):
+        while den % prime == 0:
+            den //= prime
+    return den == 1
+
+
+@given(
+    st.integers(-(10**40), 10**40),
+    st.integers(0, 80),
+    st.integers(0, 80),
+    st.sampled_from([1, 1, 3, 7, 11 * 13]),
+)
+def test_exact_decimal_string_is_exact_and_minimal(numerator, twos, fives, other):
+    value = Fraction(numerator, 2**twos * 5**fives * other)
+    text = numerics.exact_decimal_string(value)
+    if not _finite_decimal_denominator(value.denominator):
+        assert text is None
+        return
+    assert re.fullmatch(r"-?(0|[1-9][0-9]*)(\.[0-9]*[1-9])?", text), text
+    assert Fraction(Decimal(text)) == value
+
+
+def test_exact_decimal_string_of_long_denominators():
+    assert numerics.exact_decimal_string(Fraction(-3, 10**9000)) == "-0." + "0" * 8999 + "3"
+    assert numerics.exact_decimal_string(Fraction(1, 2**50)) == "0." + str(5**50).rjust(50, "0")
+    assert numerics.exact_decimal_string(Fraction(7 * 10**5000)) == "7" + "0" * 5000
+    assert numerics.exact_decimal_string(Fraction(1, 3 * 10**9000)) is None
 
 
 @pytest.mark.parametrize("digits", [20, 30, 60, 150, 300])
