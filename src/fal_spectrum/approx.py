@@ -1,11 +1,11 @@
 """Recipe search: realize a target density as a belted sum of two links.
 
-Any value between the modified densities of two anchor links L1, L2 is a
-convex combination alpha*vd_mod(L1) + (1-alpha)*vd_mod(L2).  Mixing k
-copies of L1 with l copies of L2 realizes the combination with effective
-weight ratio k*(a1-1) : l*(a2-1), so driving k/l toward
+Any value t between the modified densities v1, v2 of two anchor links L1,
+L2 is a convex combination alpha*v1 + (1-alpha)*v2.  Mixing k copies of
+L1 with l copies of L2 realizes the combination with effective weight
+ratio k*(a1-1) : l*(a2-1), so driving k/l toward
 
-    r = (a2-1)*alpha / ((a1-1)*(1-alpha))
+    r = (a2-1)*alpha / ((a1-1)*(1-alpha)) = (a2-1)*(t-v2) / ((a1-1)*(v1-t))
 
 makes the mixture converge to the target.  Continued-fraction
 convergents of r supply the (k, l) pairs: they are the best rational
@@ -17,29 +17,24 @@ whole recipe m times, so targets for vd are reached by first matching
 vd_mod to half the tolerance and then replicating until the remaining
 gap fits in the other half.
 
-Each candidate (k, l) is tested on integer totals: once per search, the
-volume components of the two anchors are put over one common denominator
-D, so k copies of L1 and l of L2 total (k*n1 + l*n2)/D exactly, and
-numerics.correctly_rounded evaluates the modified density from those
-integers, as calculus.vd_mod does from the composition.  Only the recipe
-that is returned becomes a Composition.
+The search is integer from the ratio to the recipe.  r is one pair of
+ints from the exact integer ratios of the Decimals t, v1 and v2, and its
+convergents come lazily from the Euclidean quotients of that pair.  Each
+candidate (k, l), and the replication gap, is evaluated by
+numerics.correctly_rounded from integer totals: the anchors' volume
+components over one common denominator D total (k*n1 + l*n2)/D.  Only
+the returned recipe becomes a Composition, built once with its final
+multiplicities; its vd_mod is its candidate's, which replication keeps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from .calculus import (
-    Composition,
-    DensityValue,
-    composition,
-    densities,
-    replicate,
-    replication_error,
-)
+from .calculus import Composition, DensityValue, composition
 from .catalog import BaseLink
 from .errors import CapExceededError, DegeneratePairError, DomainError, TargetRangeError
 from .numerics import PrecisionContext, correctly_rounded, parse_count, parse_decimal, parse_rational
@@ -84,13 +79,8 @@ def _as_decimal(value, what: str) -> Decimal:
     return parse_decimal(value, what)
 
 
-def alpha_for_target(target, v1, v2, ctx: PrecisionContext) -> Fraction:
-    """Exact mixing weight alpha with target = alpha*v1 + (1-alpha)*v2."""
-    return _mixing_weight(_as_decimal(target, "target"), _as_decimal(v1, "v1"), _as_decimal(v2, "v2"), ctx)
-
-
-def _mixing_weight(t: Decimal, d1: Decimal, d2: Decimal, ctx: PrecisionContext) -> Fraction:
-    """alpha_for_target on decimals already checked or computed here."""
+def _check_mixable(t: Decimal, d1: Decimal, d2: Decimal, ctx: PrecisionContext) -> None:
+    """Refuse anchors that coincide within tolerance, and a target more than it outside them."""
     tol = ctx.comparison_tolerance
     if abs(d1 - d2) <= tol:
         raise DegeneratePairError(
@@ -99,6 +89,12 @@ def _mixing_weight(t: Decimal, d1: Decimal, d2: Decimal, ctx: PrecisionContext) 
     low, high = sorted((d1, d2))
     if t < low - tol or t > high + tol:
         raise TargetRangeError(f"target {t} lies outside [{low}, {high}]")
+
+
+def alpha_for_target(target, v1, v2, ctx: PrecisionContext) -> Fraction:
+    """Exact mixing weight alpha with target = alpha*v1 + (1-alpha)*v2."""
+    t, d1, d2 = _as_decimal(target, "target"), _as_decimal(v1, "v1"), _as_decimal(v2, "v2")
+    _check_mixable(t, d1, d2, ctx)
     alpha = (Fraction(t) - Fraction(d2)) / (Fraction(d1) - Fraction(d2))
     return min(max(alpha, Fraction(0)), Fraction(1))
 
@@ -116,6 +112,39 @@ def target_ratio(alpha: Fraction, atilde1: int, atilde2: int) -> Fraction:
     return Fraction(atilde2) * alpha / (Fraction(atilde1) * (1 - alpha))
 
 
+def _mixing_ratio(t: Decimal, v1: Decimal, v2: Decimal, atilde1: int, atilde2: int) -> tuple[int, int]:
+    """target_ratio(alpha_for_target(t, v1, v2), ...) as positive ints
+    (num, den), not reduced, for t strictly between v1 and v2."""
+    (nt, dt), (n1, d1), (n2, d2) = t.as_integer_ratio(), v1.as_integer_ratio(), v2.as_integer_ratio()
+    # t - v2 = (nt*d2 - n2*dt)/(dt*d2) and v1 - t = (n1*dt - nt*d1)/(d1*dt): dt cancels
+    num, den = atilde2 * (nt * d2 - n2 * dt) * d1, atilde1 * (n1 * dt - nt * d1) * d2
+    return (num, den) if den > 0 else (-num, -den)
+
+
+def _convergents(num: int, den: int, max_denominator: int):
+    """(p, q) for each convergent p/q of num/den > 0 with q <= max_denominator,
+    lazily in increasing q; an unreduced pair has the reduced one's quotients.
+    A zero p is skipped, and every convergent is held back a step, so that a
+    leading integer one is dropped when the next shares its q = 1."""
+    p_prev, p = 0, 1  # numerator recurrence seeds p_{n-2}, p_{n-1}
+    q_prev, q = 1, 0  # denominator recurrence seeds q_{n-2}, q_{n-1}
+    held = None
+    while den:
+        a, rem = divmod(num, den)
+        num, den = den, rem
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        if q > max_denominator:
+            break
+        if p == 0:
+            continue
+        if held and held[1] != q:
+            yield held
+        held = p, q
+    if held:
+        yield held
+
+
 def best_rational_approximations(r, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> list[Fraction]:
     """Continued-fraction convergents of r with denominator <= max_denominator.
 
@@ -129,57 +158,57 @@ def best_rational_approximations(r, max_denominator: int = DEFAULT_MAX_DENOMINAT
     if value <= 0:
         raise DomainError(f"ratio must be positive, got {r}")
     parse_count(max_denominator, "max_denominator")
-
-    convergents: list[Fraction] = []
-    h_prev, h = 0, 1  # numerator recurrence seeds p_{n-2}, p_{n-1}
-    k_prev, k = 1, 0  # denominator recurrence seeds q_{n-2}, q_{n-1}
-    num, den = value.numerator, value.denominator
-    while den:
-        a, rem = divmod(num, den)
-        num, den = den, rem
-        h_prev, h = h, a * h + h_prev
-        k_prev, k = k, a * k + k_prev
-        if k > max_denominator:
-            break
-        if h == 0:
-            continue
-        candidate = Fraction(h, k)
-        if convergents and convergents[-1].denominator == k:
-            convergents[-1] = candidate
-        else:
-            convergents.append(candidate)
-    return convergents
+    return [Fraction(p, q) for p, q in _convergents(value.numerator, value.denominator, max_denominator)]
 
 
 def _vd_mod_evaluator(link1: BaseLink, link2: BaseLink, ctx: PrecisionContext):
-    """(k, l) -> the evaluated vd_mod of k copies of link1 and l of link2,
-    from integer totals over one common denominator."""
+    """(k, l, scale=1) -> the evaluated vd_mod of k copies of link1 and l of
+    link2 over ``scale``, from integer totals over one common denominator."""
     parts = link1.volume.components() + link2.volume.components()
     d = math.lcm(*(x.denominator for x in parts))
     n = [x.numerator * (d // x.denominator) for x in parts]
     atilde1, atilde2 = link1.atilde, link2.atilde
 
-    def value(k: int, l: int) -> Decimal:
+    def value(k: int, l: int, scale: int = 1) -> Decimal:
         totals = [k * n[i] + l * n[i + 3] for i in range(3)]
-        return correctly_rounded(*totals, d * (k * atilde1 + l * atilde2), ctx)
+        return correctly_rounded(*totals, d * (k * atilde1 + l * atilde2) * scale, ctx)
 
     return value
 
 
-def _candidates(
-    target: Decimal, link1: BaseLink, link2: BaseLink, ctx: PrecisionContext, max_denominator: int
-):
-    """(k, l, vd_mod of k copies of link1 and l of link2) in search order:
-    each anchor link alone, then each convergent k/l of the mixing ratio.
-    The ratio is formed only once both anchors are refused."""
-    value = _vd_mod_evaluator(link1, link2, ctx)
-    v1, v2 = value(1, 0), value(0, 1)
-    yield 1, 0, v1
-    yield 0, 1, v2
-    ratio = target_ratio(_mixing_weight(target, v1, v2, ctx), link1.atilde, link2.atilde)
-    for convergent in best_rational_approximations(ratio, max_denominator):
-        k, l = convergent.numerator, convergent.denominator
-        yield k, l, value(k, l)
+def _search(target: Decimal, eps: Decimal, link1, link2, value, ctx, max_denominator: int, reach: str):
+    """(k, l, vd_mod) of the first hit: each anchor alone within tolerance,
+    then each convergent k/l of the mixing ratio within eps.  ``value`` is
+    the pair's evaluator, and ``reach`` says what the cap refusal missed."""
+    with ctx.working():
+        anchors = []
+        for k, l in ((1, 0), (0, 1)):
+            anchors.append(value(k, l))
+            if abs(anchors[-1] - target) <= ctx.comparison_tolerance:  # below eps
+                return k, l, anchors[-1]
+        # a target more than tol from both anchors and within tol of [v1, v2]
+        # lies strictly between them, so the ratio is positive
+        _check_mixable(target, *anchors, ctx)
+        ratio = _mixing_ratio(target, *anchors, link1.atilde, link2.atilde)
+        for k, l in _convergents(*ratio, max_denominator):
+            achieved = value(k, l)
+            if abs(achieved - target) < eps:
+                return k, l, achieved
+    raise CapExceededError(
+        f"no convergent recipe reaches {reach} with denominator <= {max_denominator}; "
+        "raise the max_denominator cap"
+    )
+
+
+def _recipe(link1, link2, k: int, l: int, m: int, vdm: Decimal, target: Decimal, mode: str, ctx) -> Recipe:
+    """m replications of (k copies of link1 + l of link2), one Composition
+    built; ``vdm`` is the candidate's vd_mod, which replication keeps."""
+    c = composition([(link, n * m) for link, n in ((link1, k), (link2, l)) if n])
+    vd = correctly_rounded(*c.volume.components(), c.atilde + 1, ctx)
+    with ctx.working():
+        error = abs((vd if mode == "vd" else vdm) - target)
+    achieved = DensityValue(c.volume, c.atilde, vdm), DensityValue(c.volume, c.atilde + 1, vd)
+    return Recipe(k, l, m, c, *achieved, error, target, mode)
 
 
 def approximate_vd_mod(
@@ -203,28 +232,9 @@ def approximate_vd_mod(
             f"tolerance {eps} is too fine for {ctx.digits} digits, which resolve "
             f"only tolerances above {tol}; raise the precision"
         )
-    with ctx.working():
-        for k, l, achieved in _candidates(target, link1, link2, ctx, max_denominator):
-            error = abs(achieved - target)
-            # an anchor alone (k or l zero) is taken only within tol, which is below eps
-            if (error < eps if k and l else error <= tol):
-                c = composition([(link, n) for link, n in ((link1, k), (link2, l)) if n])
-                achieved_vd, achieved_vd_mod = densities(c, ctx)
-                return Recipe(
-                    k=k,
-                    l=l,
-                    m=1,
-                    composition=c,
-                    achieved_vd_mod=achieved_vd_mod,
-                    achieved_vd=achieved_vd,
-                    error=error,
-                    target=target,
-                    mode="vdmod",
-                )
-    raise CapExceededError(
-        f"no convergent recipe reaches eps={eps} with denominator <= {max_denominator}; "
-        "raise the max_denominator cap"
-    )
+    value = _vd_mod_evaluator(link1, link2, ctx)
+    k, l, vdm = _search(target, eps, link1, link2, value, ctx, max_denominator, f"eps={eps}")
+    return _recipe(link1, link2, k, l, 1, vdm, target, "vdmod", ctx)
 
 
 def approximate_vd(
@@ -247,33 +257,19 @@ def approximate_vd(
         raise DomainError(f"tolerance must be positive, got {eps}")
     with ctx.working():
         half = eps / 2
-        if half <= ctx.comparison_tolerance:
-            raise DomainError(
-                f"tolerance {eps} is too fine for {ctx.digits} digits: vd mode matches vd_mod to eps/2, "
-                f"and only tolerances above {ctx.comparison_tolerance} resolve; raise the precision"
-            )
-        try:
-            base = approximate_vd_mod(target, link1, link2, half, ctx, max_denominator)
-        except CapExceededError:
-            raise CapExceededError(
-                f"no convergent recipe reaches eps={eps} (vd_mod within eps/2) with denominator "
-                f"<= {max_denominator}; raise the max_denominator cap"
-            ) from None
-        core = base.composition
-        vdm = base.achieved_vd_mod.evaluated
-        # least m with vd_mod/(m*atilde+1) < eps/2, i.e. m > (2*vd_mod/eps - 1)/atilde
-        threshold = (2 * Fraction(vdm) / Fraction(eps) - 1) / core.atilde
-        m = max(1, math.floor(threshold) + 1)
-        while replication_error(core, m, ctx) >= half:  # rounding safety; rarely taken
-            m += 1
-        expanded = core if m == 1 else replicate(core, m)
-        achieved_vd, achieved_vd_mod = densities(expanded, ctx)
-        return replace(
-            base,
-            m=m,
-            composition=expanded,
-            achieved_vd_mod=achieved_vd_mod,
-            achieved_vd=achieved_vd,
-            error=abs(achieved_vd.evaluated - target),
-            mode="vd",
+    if half <= ctx.comparison_tolerance:
+        raise DomainError(
+            f"tolerance {eps} is too fine for {ctx.digits} digits: vd mode matches vd_mod to eps/2, "
+            f"and only tolerances above {ctx.comparison_tolerance} resolve; raise the precision"
         )
+    parse_count(max_denominator, "max_denominator")
+    value = _vd_mod_evaluator(link1, link2, ctx)
+    reach = f"eps={eps} (vd_mod within eps/2)"
+    k, l, vdm = _search(target, half, link1, link2, value, ctx, max_denominator, reach)
+    atilde = k * link1.atilde + l * link2.atilde
+    # least m with vd_mod/(m*atilde+1) < eps/2, i.e. m > (2*vd_mod/eps - 1)/atilde
+    (nv, dv), (ne, de) = vdm.as_integer_ratio(), eps.as_integer_ratio()
+    m = max(1, (2 * nv * de - dv * ne) // (dv * ne * atilde) + 1)
+    while value(k, l, m * atilde + 1) >= half:  # the gap replication_error gives; rarely taken
+        m += 1
+    return _recipe(link1, link2, k, l, m, vdm, target, "vd", ctx)

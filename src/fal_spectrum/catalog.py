@@ -195,8 +195,10 @@ def load_catalog(source: str) -> Catalog:
     """Parse a catalog document; the builtin L41 is present unless shadowed."""
     try:
         doc = json.loads(source)
-    except ValueError as exc:  # a JSONDecodeError, or an int past str()'s digit limit
+    except json.JSONDecodeError as exc:
         raise CatalogError(f"malformed catalog JSON: {exc}") from exc
+    except ValueError:  # an int past the interpreter's limit on digits
+        raise CatalogError("malformed catalog JSON: a number has too many digits") from None
     except RecursionError:
         raise CatalogError("malformed catalog JSON: arrays or objects nested too deeply") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("links"), list):

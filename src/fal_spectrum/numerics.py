@@ -64,9 +64,9 @@ exact rationals c_oct, c_tet, r and an integer den, and its one evaluator,
 enclosures and settles it by Ziv's test: the correctly rounded value with
 exactly ``digits`` significant digits.  Every window decision is the sign
 of such a value, which ``sign`` proves by doubling the guard digits until
-the enclosure excludes 0; past MAX_DIGITS of guard a value still not
-separated counts as 0, since whether 1, G and Cl_2(pi/3) are independent
-over Q is open.  The enclosure cache is safe for concurrent readers.
+the enclosure excludes 0; a value not separated at the scale 2*MAX_DIGITS
+counts as 0 at every precision, since whether 1, G and Cl_2(pi/3) are
+independent over Q is open.  The enclosure cache is safe for concurrent readers.
 
 Every number and count a caller passes in enters through ``parse_decimal``,
 ``parse_rational`` or ``parse_count``: no floats, only finite numbers with
@@ -421,13 +421,14 @@ def sign(c_oct, c_tet, remainder, ctx: PrecisionContext) -> int:
     ints or Fractions), proven: the guard digits double until the enclosure
     excludes 0, and with c_oct = c_tet = 0 it is exact at once.  A true zero
     with a constant in it cannot be ruled out (whether 1, G and Cl_2(pi/3) are
-    independent over Q is open), so a value still not separated from 0 once
-    the guard has passed MAX_DIGITS counts as 0."""
+    independent over Q is open), so a value not separated from 0 at the scale
+    2*MAX_DIGITS, which is the same at every precision, counts as 0."""
     a, b, r, _ = _integers(c_oct, c_tet, remainder)
     guard = _GUARD
     while True:
-        low, high = _enclose(a, b, r, ctx.working_prec + guard)
-        if low > 0 or high < 0 or not (a or b) or guard > MAX_DIGITS:
+        frac = min(ctx.working_prec + guard, 2 * MAX_DIGITS)
+        low, high = _enclose(a, b, r, frac)
+        if low > 0 or high < 0 or not (a or b) or frac == 2 * MAX_DIGITS:
             return (low > 0) - (high < 0)
         guard *= 2
 

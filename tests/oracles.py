@@ -7,7 +7,9 @@ constants come from mpmath's Catalan constant and trigamma function and
 decide correct rounding up to 1000 digits.  The Bernoulli
 recurrence is the package's former Fraction route; the tangent numbers
 derived from it check the package's integer tangent table exactly.  The
-rational oracle searches every denominator by brute force.  The volume
+rational oracle searches every denominator by brute force, and the eager
+convergent list is the package's former Fraction walk, kept to check the
+lazy integer one.  The volume
 fold is the package's former per-query walk over a composition's parts,
 kept to check the totals composition() fixes at construction.  The
 weighted average recomputes vd_mod per part, and the row counter counts
@@ -110,6 +112,31 @@ def best_error_upto(r: Fraction, max_denominator: int) -> Fraction:
                 best = err
     assert best is not None
     return best
+
+
+def eager_convergents(r: Fraction, max_denominator: int) -> list[Fraction]:
+    """Every continued-fraction convergent of r > 0 with denominator at most
+    max_denominator, listed before any is used; a zero numerator is skipped
+    and a convergent at the previous one's denominator replaces it."""
+    convergents: list[Fraction] = []
+    h_prev, h = 0, 1
+    k_prev, k = 1, 0
+    num, den = r.numerator, r.denominator
+    while den:
+        a, rem = divmod(num, den)
+        num, den = den, rem
+        h_prev, h = h, a * h + h_prev
+        k_prev, k = k, a * k + k_prev
+        if k > max_denominator:
+            break
+        if h == 0:
+            continue
+        candidate = Fraction(h, k)
+        if convergents and convergents[-1].denominator == k:
+            convergents[-1] = candidate
+        else:
+            convergents.append(candidate)
+    return convergents
 
 
 def volume_fold(parts) -> ExactVolume:

@@ -2,11 +2,11 @@
 end-to-end recipe search."""
 
 import random
-from decimal import Decimal
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from fal_spectrum import (
     CapExceededError,
@@ -28,7 +28,7 @@ from fal_spectrum import (
 from fal_spectrum import approx, calculus
 from fal_spectrum.numerics import PrecisionContext, two_v_oct
 from helpers import make_link
-from oracles import best_error_upto
+from oracles import best_error_upto, eager_convergents
 
 # vd_mod(S10) = 50/5 = 10 exactly; the remainder route keeps it rational.
 S10 = make_link("S10", remainder="50", a=6)
@@ -67,6 +67,29 @@ def test_target_ratio_algebra(ctx):
     assert Fraction(1) * ratio / Fraction(5) == alpha / (1 - alpha)
     approx_ratio = Decimal(ratio.numerator) / Decimal(ratio.denominator)
     assert abs(approx_ratio - Decimal("2.98994")) < Decimal("1e-4")
+
+
+_anchor_values = st.builds(lambda n, places: Decimal(n).scaleb(-places), st.integers(1, 10**40), st.integers(0, 38))
+
+
+@given(
+    _anchor_values,
+    _anchor_values,
+    st.fractions(min_value=0, max_value=1, max_denominator=10**30),
+    st.integers(1, 10**6),
+    st.integers(1, 10**6),
+    st.sampled_from([20, 30, 60]),
+)
+def test_integer_ratio_is_the_target_ratio_of_alpha(v1, v2, weight, atilde1, atilde2, digits):
+    ctx = PrecisionContext(digits)
+    tol = ctx.comparison_tolerance
+    with localcontext(Context(prec=200)):
+        target = v1 + (v2 - v1) * Decimal(weight.numerator) / Decimal(weight.denominator)
+    # the search forms the ratio only for a target more than tol from both anchors
+    assume(abs(target - v1) > tol and abs(target - v2) > tol and abs(v1 - v2) > tol)
+    num, den = approx._mixing_ratio(target, v1, v2, atilde1, atilde2)
+    assert num > 0 and den > 0
+    assert Fraction(num, den) == target_ratio(alpha_for_target(target, v1, v2, ctx), atilde1, atilde2)
 
 
 def test_target_ratio_rejects_endpoints():
@@ -126,6 +149,31 @@ def test_convergent_quality_and_optimality_random():
             err = abs(r - conv)
             assert err < Fraction(1, q * q)
             assert err == best_error_upto(r, q)
+
+
+@given(
+    st.fractions(min_value=Fraction(1, 10**9), max_value=10**9, max_denominator=10**12),
+    st.integers(1, 10**6),
+    st.integers(1, 10**15),
+)
+def test_lazy_convergents_match_the_eager_reference(r, unreduced_by, max_denominator):
+    assume(r > 0)
+    # the Euclidean quotients of an unreduced pair are those of the reduced one
+    lazy = approx._convergents(r.numerator * unreduced_by, r.denominator * unreduced_by, max_denominator)
+    assert [Fraction(p, q) for p, q in lazy] == eager_convergents(r, max_denominator)
+
+
+@pytest.mark.parametrize(
+    "r,expected",
+    [
+        (Fraction(29, 10), [(3, 1), (29, 10)]),  # [2; 1, 9]: 2/1 superseded by 3/1
+        (Fraction(7, 10), [(1, 1), (2, 3), (7, 10)]),  # 0/1 skipped, nothing superseded
+        (Fraction(5), [(5, 1)]),
+    ],
+)
+def test_lazy_convergents_superseded_and_skipped(r, expected):
+    assert list(approx._convergents(r.numerator * 6, r.denominator * 6, 100)) == expected
+    assert [Fraction(p, q) for p, q in expected] == eager_convergents(r, 100)
 
 
 def test_convergents_reject_bad_input():
@@ -348,8 +396,23 @@ def test_search_builds_only_the_returned_composition(ctx, l41, built, target, ep
     assert built == [recipe.composition]
     built.clear()
     recipe = approximate_vd(Decimal(target), l41, S10, Decimal(eps), ctx)
-    assert 1 <= len(built) <= 2
-    assert built[-1] == recipe.composition
+    assert built == [recipe.composition]
+
+
+def test_search_pulls_only_the_convergents_it_tests(ctx, l41, monkeypatch):
+    pulled, calls = [], []
+    original = approx._convergents
+
+    def counting(*args):
+        calls.append(args)
+        for pair in original(*args):
+            pulled.append(pair)
+            yield pair
+
+    monkeypatch.setattr(approx, "_convergents", counting)
+    recipe = approximate_vd_mod(Decimal("9.1"), l41, S10, Decimal("1e-3"), ctx)
+    assert pulled[-1] == (recipe.k, recipe.l)
+    assert len(pulled) < len(list(original(*calls[0])))
 
 
 def test_anchor_search_builds_only_the_anchor(ctx, l41, built):

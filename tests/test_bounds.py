@@ -25,7 +25,7 @@ from fal_spectrum import (
     vd_lower_bound,
     self_sum,
 )
-from fal_spectrum import bounds
+from fal_spectrum import bounds, numerics
 from fal_spectrum.numerics import PrecisionContext, round_to, ten_v_tet, two_v_oct, v_oct
 from helpers import PROBE_TET, make_link
 from oracles import count_scan_rows
@@ -311,3 +311,34 @@ def test_scan_refusal_is_prompt_and_builds_no_row(ctx, monkeypatch):
         spectrum_scan(cat, 4000, ctx)
     assert time.perf_counter() - started < 2.0
     assert evaluated == []
+
+
+def _voct_truncated(places: int) -> tuple[Fraction, mpmath.mpf]:
+    """(v_oct truncated after ``places`` decimals, v_oct minus that truncation) by mpmath."""
+    with mpmath.workdps(places + 60):
+        scaled = int(mpmath.floor(4 * mpmath.catalan * mpmath.mpf(10) ** places))
+        return Fraction(scaled, 10**places), 4 * mpmath.catalan - mpmath.mpf(scaled) / mpmath.mpf(10) ** places
+
+
+def test_a_gap_past_a_thousand_digits_reads_alike_at_every_precision():
+    # v_oct + R sits about 1e-1401 below 2*v_oct: a sum of 1305 digits cannot see
+    # it, one of 2000 can, so the answer must not hang on how far --digits reaches
+    remainder, gap = _voct_truncated(1400)
+    assert mpmath.mpf("1e-1500") < gap < mpmath.mpf("1e-1400")
+    probe = ExactVolume(1, 0, remainder)
+    answers = {
+        digits: (classify(probe, PrecisionContext(digits)), max_augmentations_below(probe, PrecisionContext(digits)))
+        for digits in (20, 1000)
+    }
+    assert [window for window, _ in answers.values()] == [WindowClass.DISCRETE_WINDOW] * 2
+    assert answers[20][1].max_augmentations == answers[1000][1].max_augmentations
+
+
+def test_a_gap_past_the_sign_cap_reads_zero_at_every_precision():
+    # 1e-2101 below 2*v_oct is past the 2*MAX_DIGITS scale, so it counts as on it
+    remainder, gap = _voct_truncated(2100)
+    assert mpmath.mpf("1e-2200") < gap < mpmath.mpf("1e-2100")
+    for digits in (20, 1000):
+        ctx = PrecisionContext(digits)
+        assert numerics.sign(-1, 0, remainder, ctx) == 0
+        assert classify(ExactVolume(1, 0, remainder), ctx) is WindowClass.DENSE_WINDOW

@@ -296,7 +296,7 @@ def test_sign_counts_a_value_unseparated_past_the_cap_as_zero(monkeypatch):
     ctx = PrecisionContext(20)  # built before the cap drops below its digits
     monkeypatch.setattr(numerics, "MAX_DIGITS", 4)
     monkeypatch.setattr(numerics, "_GUARD", 1)
-    # guards 1, 2, 4 and 8 sum at 26 to 33 digits, too few for a gap of 8.5e-33
+    # the scale stops at 2*4 = 8 digits, too few for a gap of 8.5e-33
     assert numerics.sign(-1, PROBE_TET, 0, ctx) == 0
     probe = ExactVolume(1, PROBE_TET, 0)
     assert classify(probe, ctx) is WindowClass.DENSE_WINDOW  # counted as on 2*v_oct
