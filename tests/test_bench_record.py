@@ -1,4 +1,4 @@
-"""The benchmark record driver runs the harness and writes every field."""
+"""scripts/bench_record.py runs the harness and writes every field."""
 
 import json
 import subprocess
