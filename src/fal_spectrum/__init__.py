@@ -7,14 +7,7 @@ window [2*v_oct, 10*v_tet), and issues finiteness certificates for density
 thresholds in the discrete window [v_oct, 2*v_oct).
 """
 
-from .approx import (
-    Recipe,
-    alpha_for_target,
-    approximate_vd,
-    approximate_vd_mod,
-    best_rational_approximations,
-    target_ratio,
-)
+from .approx import Recipe, approximate_vd, approximate_vd_mod, best_rational_approximations
 from .bounds import (
     Certificate,
     ScanRow,
@@ -48,7 +41,6 @@ from .catalog import (
     builtin_catalog,
     builtin_links,
     load_catalog,
-    save_catalog,
     validate_entry,
 )
 from .errors import (

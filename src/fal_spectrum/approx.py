@@ -42,11 +42,9 @@ from .numerics import PrecisionContext, correctly_rounded, parse_count, parse_de
 __all__ = [
     "DEFAULT_MAX_DENOMINATOR",
     "Recipe",
-    "alpha_for_target",
     "approximate_vd",
     "approximate_vd_mod",
     "best_rational_approximations",
-    "target_ratio",
 ]
 
 DEFAULT_MAX_DENOMINATOR = 10**9
@@ -59,7 +57,7 @@ class Recipe:
     ``composition`` is the fully expanded multiset (m*k copies of L1 and
     m*l copies of L2); re-evaluating it through the calculus module
     reproduces the stored densities exactly.  ``error`` is the distance
-    of the mode's achieved density from the target.
+    of the mode's printed density from the target, correctly rounded.
     """
 
     k: int
@@ -69,52 +67,12 @@ class Recipe:
     achieved_vd_mod: DensityValue
     achieved_vd: DensityValue
     error: Decimal
-    target: Decimal
     mode: str
 
 
-def _as_decimal(value, what: str) -> Decimal:
-    if isinstance(value, DensityValue):
-        return value.evaluated
-    return parse_decimal(value, what)
-
-
-def _check_mixable(t: Decimal, d1: Decimal, d2: Decimal, ctx: PrecisionContext) -> None:
-    """Refuse anchors that coincide within tolerance, and a target more than it outside them."""
-    tol = ctx.comparison_tolerance
-    if abs(d1 - d2) <= tol:
-        raise DegeneratePairError(
-            f"anchor densities {d1} and {d2} coincide within tolerance; no mixing ratio exists"
-        )
-    low, high = sorted((d1, d2))
-    if t < low - tol or t > high + tol:
-        raise TargetRangeError(f"target {t} lies outside [{low}, {high}]")
-
-
-def alpha_for_target(target, v1, v2, ctx: PrecisionContext) -> Fraction:
-    """Exact mixing weight alpha with target = alpha*v1 + (1-alpha)*v2."""
-    t, d1, d2 = _as_decimal(target, "target"), _as_decimal(v1, "v1"), _as_decimal(v2, "v2")
-    _check_mixable(t, d1, d2, ctx)
-    alpha = (Fraction(t) - Fraction(d2)) / (Fraction(d1) - Fraction(d2))
-    return min(max(alpha, Fraction(0)), Fraction(1))
-
-
-def target_ratio(alpha: Fraction, atilde1: int, atilde2: int) -> Fraction:
-    """Ratio r that k/l must approach so the weights mix as alpha : 1-alpha."""
-    alpha = parse_rational(alpha, "alpha")
-    if not 0 < alpha < 1:
-        raise DomainError(
-            f"mixing weight must be strictly between 0 and 1, got {alpha} "
-            "(endpoints are pure self-sums of one link)"
-        )
-    parse_count(atilde1, "atilde1")
-    parse_count(atilde2, "atilde2")
-    return Fraction(atilde2) * alpha / (Fraction(atilde1) * (1 - alpha))
-
-
 def _mixing_ratio(t: Decimal, v1: Decimal, v2: Decimal, atilde1: int, atilde2: int) -> tuple[int, int]:
-    """target_ratio(alpha_for_target(t, v1, v2), ...) as positive ints
-    (num, den), not reduced, for t strictly between v1 and v2."""
+    """r = atilde2*(t - v2) / (atilde1*(v1 - t)) as positive ints (num, den),
+    not reduced, for t strictly between v1 and v2."""
     (nt, dt), (n1, d1), (n2, d2) = t.as_integer_ratio(), v1.as_integer_ratio(), v2.as_integer_ratio()
     # t - v2 = (nt*d2 - n2*dt)/(dt*d2) and v1 - t = (n1*dt - nt*d1)/(d1*dt): dt cancels
     num, den = atilde2 * (nt * d2 - n2 * dt) * d1, atilde1 * (n1 * dt - nt * d1) * d2
@@ -180,16 +138,24 @@ def _search(target: Decimal, eps: Decimal, link1, link2, value, ctx, max_denomin
     """(k, l, vd_mod) of the first hit: each anchor alone within tolerance,
     then each convergent k/l of the mixing ratio within eps.  ``value`` is
     the pair's evaluator, and ``reach`` says what the cap refusal missed."""
+    tol = ctx.comparison_tolerance
     with ctx.working():
         anchors = []
         for k, l in ((1, 0), (0, 1)):
             anchors.append(value(k, l))
-            if abs(anchors[-1] - target) <= ctx.comparison_tolerance:  # below eps
+            if abs(anchors[-1] - target) <= tol:  # below eps
                 return k, l, anchors[-1]
+        v1, v2 = anchors
+        if abs(v1 - v2) <= tol:
+            raise DegeneratePairError(
+                f"anchor densities {v1} and {v2} coincide within tolerance; no mixing ratio exists"
+            )
+        low, high = sorted(anchors)
+        if target < low - tol or target > high + tol:
+            raise TargetRangeError(f"target {target} lies outside [{low}, {high}]")
         # a target more than tol from both anchors and within tol of [v1, v2]
         # lies strictly between them, so the ratio is positive
-        _check_mixable(target, *anchors, ctx)
-        ratio = _mixing_ratio(target, *anchors, link1.atilde, link2.atilde)
+        ratio = _mixing_ratio(target, v1, v2, link1.atilde, link2.atilde)
         for k, l in _convergents(*ratio, max_denominator):
             achieved = value(k, l)
             if abs(achieved - target) < eps:
@@ -205,10 +171,10 @@ def _recipe(link1, link2, k: int, l: int, m: int, vdm: Decimal, target: Decimal,
     built; ``vdm`` is the candidate's vd_mod, which replication keeps."""
     c = composition([(link, n * m) for link, n in ((link1, k), (link2, l)) if n])
     vd = correctly_rounded(*c.volume.components(), c.atilde + 1, ctx)
-    with ctx.working():
-        error = abs((vd if mode == "vd" else vdm) - target)
+    (nx, dx), (nt, dt) = (vd if mode == "vd" else vdm).as_integer_ratio(), target.as_integer_ratio()
+    error = correctly_rounded(0, 0, abs(nx * dt - nt * dx), dx * dt, ctx)
     achieved = DensityValue(c.volume, c.atilde, vdm), DensityValue(c.volume, c.atilde + 1, vd)
-    return Recipe(k, l, m, c, *achieved, error, target, mode)
+    return Recipe(k, l, m, c, *achieved, error, mode)
 
 
 def approximate_vd_mod(
@@ -221,8 +187,8 @@ def approximate_vd_mod(
 ) -> Recipe:
     """Smallest-denominator convergent recipe with |vd_mod - target| < eps,
     or an anchor link alone when it sits within tolerance of the target."""
-    target = _as_decimal(target, "target")
-    eps = _as_decimal(eps, "eps")
+    target = parse_decimal(target, "target")
+    eps = parse_decimal(eps, "eps")
     parse_count(max_denominator, "max_denominator")
     if eps <= 0:
         raise DomainError(f"tolerance must be positive, got {eps}")
@@ -251,8 +217,8 @@ def approximate_vd(
     times; the replication gap vd_mod/(m*atilde+1) has a closed form, so
     the least m bringing it under eps/2 is computed directly.
     """
-    target = _as_decimal(target, "target")
-    eps = _as_decimal(eps, "eps")
+    target = parse_decimal(target, "target")
+    eps = parse_decimal(eps, "eps")
     if eps <= 0:
         raise DomainError(f"tolerance must be positive, got {eps}")
     with ctx.working():

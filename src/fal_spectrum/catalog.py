@@ -1,4 +1,4 @@
-"""Base link catalog: exact volumes, JSON (de)serialization, validation.
+"""Base link catalog: exact volumes, JSON parsing, validation.
 
 A catalog file is a UTF-8 JSON document::
 
@@ -31,7 +31,6 @@ __all__ = [
     "builtin_links",
     "builtin_catalog",
     "load_catalog",
-    "save_catalog",
     "validate_entry",
 ]
 
@@ -92,17 +91,9 @@ class ExactVolume:
             return NotImplemented
         return ExactVolume(self.c_oct * scalar, self.c_tet * scalar, self.remainder * scalar)
 
-    __rmul__ = __mul__
-
     def evaluate(self, ctx: PrecisionContext) -> Decimal:
         """The volume correctly rounded to ``ctx.digits``."""
         return numerics.correctly_rounded(self.c_oct, self.c_tet, self.remainder, 1, ctx)
-
-    def remainder_decimal_string(self) -> str:
-        text = numerics.exact_decimal_string(self.remainder)
-        if text is None:
-            raise CatalogError(f"remainder {self.remainder} has no finite decimal form")
-        return text
 
 
 @dataclass(frozen=True)
@@ -241,24 +232,6 @@ def load_catalog_file(path) -> Catalog:
         raise CatalogError(
             f"cannot read catalog {path!r}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from exc
-
-
-def save_catalog(catalog: Catalog) -> str:
-    """Serialize back to the file format; load(save(c)) reproduces the entries."""
-    doc = {
-        "links": [
-            {
-                "name": link.name,
-                "c_oct": str(link.volume.c_oct),
-                "c_tet": str(link.volume.c_tet),
-                "remainder": link.volume.remainder_decimal_string(),
-                "a": link.augmentations,
-                "note": link.note,
-            }
-            for link in catalog
-        ]
-    }
-    return json.dumps(doc, indent=2) + "\n"
 
 
 @dataclass(frozen=True)

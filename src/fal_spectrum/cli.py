@@ -183,7 +183,7 @@ def _cmd_catalog_list(args, ctx: PrecisionContext) -> str:
                 link.name,
                 str(link.augmentations),
                 calculus.exact_combo_string(*link.volume.components(), ctx),
-                str(numerics.correctly_rounded(*link.volume.components(), 1, ctx)),
+                str(link.volume.evaluate(ctx)),
                 str(density.evaluated),
                 str(density_mod.evaluated),
                 link.note,
@@ -210,7 +210,7 @@ def _cmd_density(args, ctx: PrecisionContext) -> str:
     pairs = [
         ("recipe", calculus.format_recipe(comp)),
         ("vol_exact", calculus.exact_combo_string(*comp.volume.components(), ctx)),
-        ("vol_decimal", str(numerics.correctly_rounded(*comp.volume.components(), 1, ctx))),
+        ("vol_decimal", str(comp.volume.evaluate(ctx))),
         ("a", numerics.rational_string(comp.atilde + 1)),
         ("atilde", numerics.rational_string(comp.atilde)),
         ("vd_exact", density.exact_string(ctx)),

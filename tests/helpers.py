@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import json
 from decimal import Decimal
 from fractions import Fraction
 
-from fal_spectrum import BaseLink, ExactVolume
-from fal_spectrum.numerics import PrecisionContext, _pi_at
+from fal_spectrum import BaseLink, Catalog, CatalogError, ExactVolume
+from fal_spectrum.numerics import PrecisionContext, _pi_at, exact_decimal_string
 
 # v_oct + PROBE_TET*v_tet lies 8.5e-33 below 2*v_oct (mpmath), closer than the
 # comparison tolerance at 20 and 30 digits.
@@ -23,3 +24,28 @@ def pi_angle(ctx: PrecisionContext, numerator: int, denominator: int) -> Decimal
     itself does not eat into the comparison budget."""
     with ctx.working():
         return _pi_at(ctx.working_prec) * numerator / denominator
+
+
+def remainder_decimal_string(volume: ExactVolume) -> str:
+    text = exact_decimal_string(volume.remainder)
+    if text is None:
+        raise CatalogError(f"remainder {volume.remainder} has no finite decimal form")
+    return text
+
+
+def save_catalog(catalog: Catalog) -> str:
+    """Serialize to the catalog file format; load_catalog(save_catalog(c)) == c."""
+    doc = {
+        "links": [
+            {
+                "name": link.name,
+                "c_oct": str(link.volume.c_oct),
+                "c_tet": str(link.volume.c_tet),
+                "remainder": remainder_decimal_string(link.volume),
+                "a": link.augmentations,
+                "note": link.note,
+            }
+            for link in catalog
+        ]
+    }
+    return json.dumps(doc, indent=2) + "\n"

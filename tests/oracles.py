@@ -24,7 +24,7 @@ from math import comb
 
 import mpmath
 
-from fal_spectrum import Composition, DensityValue, ExactVolume
+from fal_spectrum import Composition, DensityValue, DomainError, ExactVolume
 from fal_spectrum.numerics import PrecisionContext, round_to
 
 
@@ -137,6 +137,18 @@ def eager_convergents(r: Fraction, max_denominator: int) -> list[Fraction]:
         else:
             convergents.append(candidate)
     return convergents
+
+
+def alpha_for_target(target: Decimal, v1: Decimal, v2: Decimal) -> Fraction:
+    """Exact mixing weight alpha with target = alpha*v1 + (1-alpha)*v2."""
+    return (Fraction(target) - Fraction(v2)) / (Fraction(v1) - Fraction(v2))
+
+
+def target_ratio(alpha: Fraction, atilde1: int, atilde2: int) -> Fraction:
+    """Ratio r that k/l must approach so the weights mix as alpha : 1-alpha."""
+    if not 0 < alpha < 1:
+        raise DomainError(f"mixing weight must be strictly between 0 and 1, got {alpha}")
+    return Fraction(atilde2) * alpha / (Fraction(atilde1) * (1 - alpha))
 
 
 def volume_fold(parts) -> ExactVolume:

@@ -2,7 +2,7 @@
 end-to-end recipe search."""
 
 import random
-from decimal import Context, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -13,14 +13,12 @@ from fal_spectrum import (
     DegeneratePairError,
     DomainError,
     TargetRangeError,
-    alpha_for_target,
     approximate_vd,
     approximate_vd_mod,
     best_rational_approximations,
     composition,
     replicate,
     replication_error,
-    target_ratio,
     vd,
     vd_mod,
     self_sum,
@@ -28,40 +26,45 @@ from fal_spectrum import (
 from fal_spectrum import approx, calculus
 from fal_spectrum.numerics import PrecisionContext, two_v_oct
 from helpers import make_link
-from oracles import best_error_upto, eager_convergents
+from oracles import alpha_for_target, best_error_upto, eager_convergents, target_ratio
 
 # vd_mod(S10) = 50/5 = 10 exactly; the remainder route keeps it rational.
 S10 = make_link("S10", remainder="50", a=6)
 
 
-def test_alpha_endpoints(ctx):
+def test_alpha_endpoints():
     v1, v2 = Decimal("7.5"), Decimal("10")
-    assert alpha_for_target(v1, v1, v2, ctx) == 1
-    assert alpha_for_target(v2, v1, v2, ctx) == 0
-    assert alpha_for_target(Decimal("8.75"), v1, v2, ctx) == Fraction(1, 2)
+    assert alpha_for_target(v1, v1, v2) == 1
+    assert alpha_for_target(v2, v1, v2) == 0
+    assert alpha_for_target(Decimal("8.75"), v1, v2) == Fraction(1, 2)
 
 
 def test_alpha_for_interior_target(ctx):
     # alpha = (9 - 10)/(2*v_oct - 10); the quoted 0.374213 is its 6-digit form
-    alpha = alpha_for_target(Decimal(9), two_v_oct(ctx), Decimal(10), ctx)
+    alpha = alpha_for_target(Decimal(9), two_v_oct(ctx), Decimal(10))
     assert 0 < alpha < 1
     approx_alpha = Decimal(alpha.numerator) / Decimal(alpha.denominator)
     assert abs(approx_alpha - Decimal("0.374213")) < Decimal("1e-6")
 
 
-def test_alpha_errors(ctx):
-    with pytest.raises(DegeneratePairError):
-        alpha_for_target(Decimal(9), Decimal(10), Decimal(10), ctx)
-    with pytest.raises(TargetRangeError):
-        alpha_for_target(Decimal(11), Decimal("7.5"), Decimal(10), ctx)
-    with pytest.raises(TargetRangeError):
-        alpha_for_target(Decimal(7), Decimal("7.5"), Decimal(10), ctx)
+def test_alpha_errors(ctx, l41):
+    """No mixing weight exists for anchors within tolerance of each other, or
+    for a target more than tolerance outside them; both searches refuse."""
+    # vd_mod 10 and 10 + 1e-26 differ by less than the tolerance 1e-25 at 30 digits
+    near = make_link("Near", remainder="10"), make_link("Far", remainder="10.00000000000000000000000001")
+    for search in (approximate_vd_mod, approximate_vd):
+        with pytest.raises(DegeneratePairError, match="coincide within tolerance"):
+            search(Decimal(9), *near, Decimal("1e-6"), ctx)
+        with pytest.raises(TargetRangeError, match="lies outside"):
+            search(Decimal(11), l41, S10, Decimal("1e-6"), ctx)
+        with pytest.raises(TargetRangeError, match="lies outside"):
+            search(Decimal(7), l41, S10, Decimal("1e-6"), ctx)
 
 
 def test_target_ratio_algebra(ctx):
     assert target_ratio(Fraction(1, 2), 3, 3) == 1
     assert target_ratio(Fraction(2, 3), 2, 2) == 2
-    alpha = alpha_for_target(Decimal(9), two_v_oct(ctx), Decimal(10), ctx)
+    alpha = alpha_for_target(Decimal(9), two_v_oct(ctx), Decimal(10))
     ratio = target_ratio(alpha, 1, 5)
     # the defining limit: k*atilde1 / (l*atilde2) -> alpha/(1-alpha)
     assert Fraction(1) * ratio / Fraction(5) == alpha / (1 - alpha)
@@ -89,7 +92,7 @@ def test_integer_ratio_is_the_target_ratio_of_alpha(v1, v2, weight, atilde1, ati
     assume(abs(target - v1) > tol and abs(target - v2) > tol and abs(v1 - v2) > tol)
     num, den = approx._mixing_ratio(target, v1, v2, atilde1, atilde2)
     assert num > 0 and den > 0
-    assert Fraction(num, den) == target_ratio(alpha_for_target(target, v1, v2, ctx), atilde1, atilde2)
+    assert Fraction(num, den) == target_ratio(alpha_for_target(target, v1, v2), atilde1, atilde2)
 
 
 def test_target_ratio_rejects_endpoints():
@@ -227,6 +230,25 @@ def test_out_of_range_and_degenerate_errors(ctx, l41):
         approximate_vd_mod(Decimal(9), S10, S10, Decimal("1e-6"), ctx)
     with pytest.raises(DomainError):
         approximate_vd_mod(Decimal(9), l41, S10, Decimal(0), ctx)
+
+
+@pytest.mark.parametrize(
+    "target, eps, digits",
+    [("9.123456789012345678901234567891234", "0.9", d) for d in (20, 30, 60)]
+    + [("9.0", "1e-6", d) for d in (20, 30, 60)]
+    # within tolerance of S10's vd_mod 10 up to 30 digits, so the anchor alone
+    + [("10.00000000000000000000000005", "1e-3", d) for d in (20, 30)],
+)
+def test_error_is_the_correctly_rounded_distance(l41, target, eps, digits):
+    ctx = PrecisionContext(digits)
+    target = Decimal(target)
+    for search, achieved in ((approximate_vd_mod, "achieved_vd_mod"), (approximate_vd, "achieved_vd")):
+        recipe = search(target, l41, S10, Decimal(eps), ctx)
+        exact = abs(Fraction(getattr(recipe, achieved).evaluated) - Fraction(target))
+        with localcontext(Context(prec=digits, rounding=ROUND_HALF_EVEN)):
+            expected = Decimal(exact.numerator) / Decimal(exact.denominator)
+        assert recipe.error == expected
+        assert len(recipe.error.as_tuple().digits) == digits
 
 
 def test_cap_exceeded_names_the_cap(ctx, l41):

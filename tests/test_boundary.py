@@ -12,7 +12,6 @@ from fal_spectrum import (
     DomainError,
     ExactVolume,
     FalSpectrumError,
-    alpha_for_target,
     approximate_vd,
     approximate_vd_mod,
     best_rational_approximations,
@@ -35,11 +34,11 @@ NUMBER_ENTRY_POINTS = {
     "classify": (lambda v: classify(v, CTX), "density", DomainError),
     "max_augmentations_below": (lambda v: max_augmentations_below(v, CTX), "density", DomainError),
     "approximate_vd": (lambda v: approximate_vd(Decimal(9), L41, S10, v, CTX), "eps", DomainError),
+    "approximate_vd-target": (lambda v: approximate_vd(v, L41, S10, Decimal("1e-6"), CTX), "target", DomainError),
     "approximate_vd_mod-target": (
         lambda v: approximate_vd_mod(v, L41, S10, Decimal("1e-6"), CTX), "target", DomainError
     ),
     "approximate_vd_mod-eps": (lambda v: approximate_vd_mod(Decimal(9), L41, S10, v, CTX), "eps", DomainError),
-    "alpha_for_target": (lambda v: alpha_for_target(Decimal(9), v, Decimal(10), CTX), "v1", DomainError),
 }
 
 BAD_NUMBERS = {

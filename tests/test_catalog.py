@@ -14,12 +14,11 @@ from fal_spectrum import (
     ExactVolume,
     builtin_catalog,
     load_catalog,
-    save_catalog,
     validate_entry,
     vd,
     self_sum,
 )
-from helpers import make_link
+from helpers import make_link, save_catalog
 
 
 def test_builtin_figure_eight(l41):

@@ -3,14 +3,17 @@ reproduce its recorded exit code and stdout byte for byte.
 
 The corpus locks the command line's observable behaviour across
 refactors.  ``{catalog}`` in an argv stands for the committed fixture
-``golden/catalog.json``.  After an intended output change, rewrite the
-recorded results with ``python tests/test_golden.py`` (with ``src`` on
-``PYTHONPATH``) and review the diff.
+``golden/catalog.json``.  After an intended output change, re-record the
+entries it changes with ``python tests/test_golden.py INDEX...`` (with
+``src`` on ``PYTHONPATH``) and review the diff; the other entries are
+left as recorded.  A new case is an appended ``{"argv": [...]}`` entry,
+recorded the same way by its index.
 """
 
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,8 +47,10 @@ def test_golden_invocation(case):
 
 
 if __name__ == "__main__":
-    cases = []
-    for case in _load():
-        code, stdout = run(case["argv"])
-        cases.append({"argv": case["argv"], "exit": code, "stdout": stdout})
+    if len(sys.argv) < 2:
+        sys.exit(f"usage: {sys.argv[0]} INDEX... (the corpus entries to re-record)")
+    cases = _load()
+    for index in map(int, sys.argv[1:]):
+        code, stdout = run(cases[index]["argv"])
+        cases[index] = {"argv": cases[index]["argv"], "exit": code, "stdout": stdout}
     CORPUS.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
