@@ -30,10 +30,10 @@ multiplicities; its vd_mod is its candidate's, which replication keeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
+from ._frozen import Frozen
 from .calculus import Composition, DensityValue, composition
 from .catalog import BaseLink
 from .errors import CapExceededError, DegeneratePairError, DomainError, TargetRangeError
@@ -50,8 +50,7 @@ __all__ = [
 DEFAULT_MAX_DENOMINATOR = 10**9
 
 
-@dataclass(frozen=True)
-class Recipe:
+class Recipe(Frozen):
     """A found approximation: m replications of (k copies of L1 + l copies of L2).
 
     ``composition`` is the fully expanded multiset (m*k copies of L1 and
@@ -60,14 +59,12 @@ class Recipe:
     of the mode's printed density from the target, correctly rounded.
     """
 
-    k: int
-    l: int
-    m: int
-    composition: Composition
-    achieved_vd_mod: DensityValue
-    achieved_vd: DensityValue
-    error: Decimal
-    mode: str
+    __slots__ = ("k", "l", "m", "composition", "achieved_vd_mod", "achieved_vd", "error", "mode")
+
+    def __init__(self, k: int, l: int, m: int, composition: Composition, achieved_vd_mod: DensityValue,
+                 achieved_vd: DensityValue, error: Decimal, mode: str) -> None:
+        for name, value in zip(self.__slots__, (k, l, m, composition, achieved_vd_mod, achieved_vd, error, mode)):
+            object.__setattr__(self, name, value)
 
 
 def _mixing_ratio(t: Decimal, v1: Decimal, v2: Decimal, atilde1: int, atilde2: int) -> tuple[int, int]:

@@ -18,11 +18,11 @@ multiset past its row cap: a refusal costs O(cap), not the full count.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
 from . import numerics
+from ._frozen import Frozen
 from .calculus import DensityValue, composition, densities, format_recipe
 from .catalog import Catalog, ExactVolume
 from .errors import CapExceededError, DomainError
@@ -51,14 +51,16 @@ class WindowClass(enum.Enum):
     AT_OR_ABOVE_UPPER_BOUND = "AtOrAboveUpperBound"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Frozen):
     """Finiteness statement: every FAL with vd at most ``threshold`` has
     at most ``max_augmentations`` augmentation circles."""
 
-    threshold: Decimal
-    max_augmentations: int
-    statement: str
+    __slots__ = ("threshold", "max_augmentations", "statement")
+
+    def __init__(self, threshold: Decimal, max_augmentations: int, statement: str) -> None:
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "max_augmentations", max_augmentations)
+        object.__setattr__(self, "statement", statement)
 
 
 def euler_characteristic(a: int) -> int:
@@ -136,13 +138,15 @@ def max_augmentations_below(density, ctx: PrecisionContext) -> Certificate:
     )
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    recipe: str
-    a: int
-    atilde: int
-    vd: DensityValue
-    vd_mod: DensityValue
+class ScanRow(Frozen):
+    __slots__ = ("recipe", "a", "atilde", "vd", "vd_mod")
+
+    def __init__(self, recipe: str, a: int, atilde: int, vd: DensityValue, vd_mod: DensityValue) -> None:
+        object.__setattr__(self, "recipe", recipe)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "atilde", atilde)
+        object.__setattr__(self, "vd", vd)
+        object.__setattr__(self, "vd_mod", vd_mod)
 
 
 def _multisets(catalog: Catalog, budget: int):

@@ -21,12 +21,12 @@ the inputs are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from . import numerics
+from ._frozen import Frozen
 from .catalog import BaseLink, Catalog, ExactVolume
 from .errors import DomainError
 from .numerics import PrecisionContext
@@ -49,14 +49,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(Frozen):
     """Multiset of (base link, multiplicity) pairs with its total volume and
-    a - 1; build via composition(), which alone computes the totals."""
+    a - 1; build via composition(), which alone computes the totals.
+    Compositions are equal, and hash, by their parts alone."""
 
-    parts: tuple[tuple[BaseLink, int], ...]
-    volume: ExactVolume = field(compare=False)
-    atilde: int = field(compare=False)
+    __slots__ = ("parts", "volume", "atilde")
+
+    def __init__(self, parts: tuple[tuple[BaseLink, int], ...], volume: ExactVolume, atilde: int) -> None:
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "volume", volume)
+        object.__setattr__(self, "atilde", atilde)
+
+    def _key(self) -> tuple:
+        return (self.parts,)
 
 
 def composition(parts: Mapping[BaseLink, int] | Iterable[tuple[BaseLink, int]]) -> Composition:
@@ -104,14 +110,16 @@ def volume(c: Composition) -> ExactVolume:
     return c.volume
 
 
-@dataclass(frozen=True)
-class DensityValue:
+class DensityValue(Frozen):
     """A density with exact form (numerator volume / integer denominator)
     alongside its evaluated decimal."""
 
-    numerator: ExactVolume
-    denominator: int
-    evaluated: Decimal
+    __slots__ = ("numerator", "denominator", "evaluated")
+
+    def __init__(self, numerator: ExactVolume, denominator: int, evaluated: Decimal) -> None:
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "evaluated", evaluated)
 
     def exact_parts(self) -> tuple[Fraction, Fraction, Fraction]:
         """(c_oct, c_tet, remainder) of the density itself, exact."""

@@ -12,14 +12,13 @@ Missing c_oct/c_tet/remainder default to "0".
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterator
 
 from . import numerics
+from ._frozen import Frozen
 from .errors import CatalogError, DomainError
 from .numerics import PrecisionContext
 
@@ -45,8 +44,7 @@ def _parsed(parse, value, what: str, *args):
         raise CatalogError(str(exc)) from None
 
 
-@dataclass(frozen=True)
-class ExactVolume:
+class ExactVolume(Frozen):
     """A volume c_oct*v_oct + c_tet*v_tet + remainder with exact components.
 
     The remainder carries any part of the volume that is not a rational
@@ -55,13 +53,11 @@ class ExactVolume:
     All components are nonnegative.
     """
 
-    c_oct: Fraction = Fraction(0)
-    c_tet: Fraction = Fraction(0)
-    remainder: Fraction = Fraction(0)
+    __slots__ = ("c_oct", "c_tet", "remainder")
 
-    def __post_init__(self) -> None:
-        for name in ("c_oct", "c_tet", "remainder"):
-            value = _parsed(numerics.parse_rational, getattr(self, name), name)
+    def __init__(self, c_oct=Fraction(0), c_tet=Fraction(0), remainder=Fraction(0)) -> None:
+        for name, value in (("c_oct", c_oct), ("c_tet", c_tet), ("remainder", remainder)):
+            value = _parsed(numerics.parse_rational, value, name)
             if value < 0:
                 raise CatalogError(f"{name} must be nonnegative, got {value}")
             object.__setattr__(self, name, value)
@@ -96,25 +92,34 @@ class ExactVolume:
         return numerics.correctly_rounded(self.c_oct, self.c_tet, self.remainder, 1, ctx)
 
 
-@dataclass(frozen=True)
-class BaseLink:
-    """A named fully augmented link with known volume and augmentation count."""
+class BaseLink(Frozen):
+    """A named fully augmented link with known volume and augmentation count.
 
-    name: str
-    volume: ExactVolume = field(hash=False)
-    augmentations: int = field(hash=False)
-    note: str = field(default="", compare=False)
+    Links are equal when name, volume and augmentation count agree (the
+    note is not compared) and hash by name alone."""
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not _NAME_RE.fullmatch(self.name):
-            raise CatalogError(f"link name must be an identifier, got {self.name!r}")
-        _parsed(numerics.parse_count, self.augmentations, f"{self.name}: augmentation count", 2)
-        if not isinstance(self.volume, ExactVolume):
-            raise CatalogError(f"{self.name}: volume must be an ExactVolume")
-        if self.volume.is_zero():
-            raise CatalogError(f"{self.name}: volume must be positive")
-        if not isinstance(self.note, str):
-            raise CatalogError(f"{self.name}: note must be a string")
+    __slots__ = ("name", "volume", "augmentations", "note")
+
+    def __init__(self, name: str, volume: ExactVolume, augmentations: int, note: str = "") -> None:
+        if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
+            raise CatalogError(f"link name must be an identifier, got {name!r}")
+        _parsed(numerics.parse_count, augmentations, f"{name}: augmentation count", 2)
+        if not isinstance(volume, ExactVolume):
+            raise CatalogError(f"{name}: volume must be an ExactVolume")
+        if volume.is_zero():
+            raise CatalogError(f"{name}: volume must be positive")
+        if not isinstance(note, str):
+            raise CatalogError(f"{name}: note must be a string")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "volume", volume)
+        object.__setattr__(self, "augmentations", augmentations)
+        object.__setattr__(self, "note", note)
+
+    def _key(self) -> tuple:
+        return (self.name, self.volume, self.augmentations)
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
     @property
     def atilde(self) -> int:
@@ -137,15 +142,17 @@ def builtin_links() -> tuple[BaseLink, ...]:
     )
 
 
-@dataclass(frozen=True)
-class Catalog:
-    """Immutable name-indexed collection of base links."""
+class Catalog(Frozen):
+    """Immutable name-indexed collection of base links, compared by its links."""
 
-    links: tuple[BaseLink, ...]
-    _by_name: dict[str, BaseLink] = field(init=False, repr=False, compare=False)
+    __slots__ = ("links", "_by_name")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_by_name", {link.name: link for link in self.links})
+    def __init__(self, links: tuple[BaseLink, ...]) -> None:
+        object.__setattr__(self, "links", links)
+        object.__setattr__(self, "_by_name", {link.name: link for link in links})
+
+    def _key(self) -> tuple:
+        return (self.links,)
 
     @classmethod
     def from_links(cls, links) -> "Catalog":
@@ -184,6 +191,8 @@ _ENTRY_FIELDS = {"name", "c_oct", "c_tet", "remainder", "a", "note"}
 
 def load_catalog(source: str) -> Catalog:
     """Parse a catalog document; the builtin L41 is present unless shadowed."""
+    import json
+
     try:
         doc = json.loads(source)
     except json.JSONDecodeError as exc:
@@ -234,11 +243,13 @@ def load_catalog_file(path) -> Catalog:
         ) from exc
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    level: str
-    link: str
-    message: str
+class Diagnostic(Frozen):
+    __slots__ = ("level", "link", "message")
+
+    def __init__(self, level: str, link: str, message: str) -> None:
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "link", link)
+        object.__setattr__(self, "message", message)
 
 
 def validate_entry(link: BaseLink, ctx: PrecisionContext) -> list[Diagnostic]:

@@ -6,18 +6,21 @@ bounds, certify, classify, scan.  Exit codes: 0 success, 1 domain errors
 file that cannot be written), 2 usage errors (bad syntax).  A domain error prints one
 ``error:`` line on stderr.  Data goes to the output stream, diagnostics
 to stderr, and identical invocations produce byte-identical output.
+
+A run imports only what its subcommand uses: each handler imports the
+layers it calls (``constants`` needs ``numerics`` alone), ``json`` loads
+for a catalog file or JSON output and ``csv`` for CSV output.  Handlers
+read layer functions as module attributes at call time.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
 from decimal import Decimal, InvalidOperation
 
-from . import approx, bounds, calculus, catalog as catalog_mod, numerics
+from . import numerics
 from .errors import FalSpectrumError
 from .numerics import DEFAULT_DIGITS, PrecisionContext
 
@@ -97,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-denominator",
         type=_int_arg,
-        default=approx.DEFAULT_MAX_DENOMINATOR,
+        default=None,
         help="cap on convergent denominators",
     )
     p.set_defaults(handler=_cmd_approximate)
@@ -117,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", parents=[common], help="enumerate compositions up to an atilde budget")
     p.add_argument("file", nargs="?", default=None, help="catalog JSON file (builtin links if omitted)")
     p.add_argument("--budget", required=True, type=_int_arg, help="bound on total atilde")
-    p.add_argument("--cap", type=_int_arg, default=bounds.DEFAULT_SCAN_CAP, help="row cap")
+    p.add_argument("--cap", type=_int_arg, default=None, help="row cap")
     p.set_defaults(handler=_cmd_scan, default_format="csv")
 
     return parser
@@ -128,6 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _render_kv(pairs: list[tuple[str, str]], fmt: str) -> str:
     if fmt == "json":
+        import json
+
         return json.dumps(dict(pairs), indent=2) + "\n"
     if fmt == "csv":
         return _render_rows(["key", "value"], pairs, fmt)
@@ -137,8 +142,12 @@ def _render_kv(pairs: list[tuple[str, str]], fmt: str) -> str:
 
 def _render_rows(header: list[str], rows: list[list[str]], fmt: str) -> str:
     if fmt == "json":
+        import json
+
         return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
     if fmt == "csv":
+        import csv
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(header)
@@ -153,10 +162,10 @@ def _render_rows(header: list[str], rows: list[list[str]], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_catalog(path) -> catalog_mod.Catalog:
-    if path is None:
-        return catalog_mod.builtin_catalog()
-    return catalog_mod.load_catalog_file(path)
+def _load_catalog(path):
+    from . import catalog
+
+    return catalog.builtin_catalog() if path is None else catalog.load_catalog_file(path)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +182,8 @@ def _cmd_constants(args, ctx: PrecisionContext) -> str:
 
 
 def _cmd_catalog_list(args, ctx: PrecisionContext) -> str:
+    from . import calculus
+
     cat = _load_catalog(args.file)
     header = ["name", "a", "volume_exact", "volume_decimal", "vd_decimal", "vdmod_decimal", "note"]
     rows = []
@@ -193,17 +204,21 @@ def _cmd_catalog_list(args, ctx: PrecisionContext) -> str:
 
 
 def _cmd_validate(args, ctx: PrecisionContext) -> str:
+    from . import catalog
+
     cat = _load_catalog(args.file)
     header = ["level", "link", "message"]
     rows = [
         [diag.level, diag.link, diag.message]
         for link in cat
-        for diag in catalog_mod.validate_entry(link, ctx)
+        for diag in catalog.validate_entry(link, ctx)
     ]
     return _render_rows(header, rows, args.fmt)
 
 
 def _cmd_density(args, ctx: PrecisionContext) -> str:
+    from . import calculus
+
     cat = _load_catalog(args.file)
     comp = calculus.parse_recipe(args.recipe, cat)
     density, density_mod = calculus.densities(comp, ctx)
@@ -222,10 +237,13 @@ def _cmd_density(args, ctx: PrecisionContext) -> str:
 
 
 def _cmd_approximate(args, ctx: PrecisionContext) -> str:
+    from . import approx, calculus
+
     cat = _load_catalog(args.file)
     link1, link2 = cat[args.l1], cat[args.l2]
     search = approx.approximate_vd if args.mode == "vd" else approx.approximate_vd_mod
-    recipe = search(args.target, link1, link2, args.eps, ctx, args.max_denominator)
+    cap = approx.DEFAULT_MAX_DENOMINATOR if args.max_denominator is None else args.max_denominator
+    recipe = search(args.target, link1, link2, args.eps, ctx, cap)
     pairs = [
         ("mode", recipe.mode),
         ("target", str(args.target)),
@@ -244,6 +262,8 @@ def _cmd_approximate(args, ctx: PrecisionContext) -> str:
 
 
 def _cmd_bounds(args, ctx: PrecisionContext) -> str:
+    from . import bounds
+
     pairs = [
         ("a", str(args.a)),
         ("euler_characteristic", str(bounds.euler_characteristic(args.a))),
@@ -254,6 +274,8 @@ def _cmd_bounds(args, ctx: PrecisionContext) -> str:
 
 
 def _cmd_certify(args, ctx: PrecisionContext) -> str:
+    from . import bounds
+
     certificate = bounds.max_augmentations_below(args.density, ctx)
     pairs = [
         ("threshold", str(certificate.threshold)),
@@ -264,14 +286,19 @@ def _cmd_certify(args, ctx: PrecisionContext) -> str:
 
 
 def _cmd_classify(args, ctx: PrecisionContext) -> str:
+    from . import bounds
+
     window = bounds.classify(args.density, ctx)
     pairs = [("density", str(args.density)), ("window", window.value)]
     return _render_kv(pairs, args.fmt)
 
 
 def _cmd_scan(args, ctx: PrecisionContext) -> str:
+    from . import bounds
+
     cat = _load_catalog(args.file)
-    rows = bounds.spectrum_scan(cat, args.budget, ctx, args.cap)
+    cap = bounds.DEFAULT_SCAN_CAP if args.cap is None else args.cap
+    rows = bounds.spectrum_scan(cat, args.budget, ctx, cap)
     header = ["recipe", "a", "atilde", "vd_exact", "vd_decimal", "vdmod_exact", "vdmod_decimal"]
     body = [
         [

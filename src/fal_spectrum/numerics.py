@@ -78,11 +78,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
+from ._frozen import Frozen
 from .errors import ConfigurationError, DomainError
 
 __all__ = [
@@ -129,8 +129,7 @@ _ZETA2_UPPER = Decimal("1.645")
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
+class PrecisionContext(Frozen):
     """Working precision shared by every evaluated quantity.
 
     ``digits`` counts significant decimal digits.  Comparisons between
@@ -138,17 +137,16 @@ class PrecisionContext:
     no other epsilon exists in the package.
     """
 
-    digits: int = DEFAULT_DIGITS
+    __slots__ = ("digits",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, digits: int = DEFAULT_DIGITS) -> None:
         try:
-            parse_count(self.digits, "precision", MIN_DIGITS)
+            parse_count(digits, "precision", MIN_DIGITS)
         except DomainError as exc:
             raise ConfigurationError(str(exc)) from None
-        if self.digits > MAX_DIGITS:
-            raise ConfigurationError(
-                f"precision must be at most {MAX_DIGITS} digits, got {self.digits}"
-            )
+        if digits > MAX_DIGITS:
+            raise ConfigurationError(f"precision must be at most {MAX_DIGITS} digits, got {digits}")
+        object.__setattr__(self, "digits", digits)
 
     @property
     def working_prec(self) -> int:
@@ -398,8 +396,12 @@ def _enclose(a: int, b: int, r: int, frac: int) -> tuple[int, int]:
 def correctly_rounded(c_oct, c_tet, remainder, den: int, ctx: PrecisionContext) -> Decimal:
     """(c_oct*v_oct + c_tet*v_tet + remainder)/den correctly rounded to
     ``ctx.digits`` significant digits, all of them kept; the components are
-    signed ints or Fractions, ``den`` a positive int."""
+    signed ints or Fractions, ``den`` a positive int.  An exact zero (every
+    component 0) has no significant digits and is Decimal(0), printed "0",
+    at every precision."""
     a, b, r, common = _integers(c_oct, c_tet, remainder)
+    if not (a or b or r):
+        return Decimal(0)
     den *= common
     # v_oct < 4 and v_tet < 2 put the value near 10**shift (log10(2) = 0.30103),
     # so the sum at scale frac over 10**shift keeps about working_prec + guard digits

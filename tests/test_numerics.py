@@ -356,6 +356,14 @@ def test_correctly_rounded_retries_near_a_tie(reference):
     assert numerics._enclosures.cache_info().misses > 1
 
 
+@pytest.mark.parametrize("digits", [20, 30, 60])
+@pytest.mark.parametrize("zero", [(0, 0, 0, 1), (Fraction(0), 0, Fraction(0, 7), 3)])
+def test_an_exact_zero_is_one_decimal_at_every_precision(zero, digits):
+    got = numerics.correctly_rounded(*zero, PrecisionContext(digits))
+    assert got.as_tuple() == Decimal(0).as_tuple()
+    assert str(got) == "0"
+
+
 def test_clear_caches_recomputes_the_enclosures():
     ctx = PrecisionContext(30)
     numerics.clear_caches()
