@@ -17,27 +17,37 @@ whole recipe m times, so targets for vd are reached by first matching
 vd_mod to half the tolerance and then replicating until the remaining
 gap fits in the other half.
 
-The search is integer from the ratio to the recipe.  r is one pair of
-ints from the exact integer ratios of the Decimals t, v1 and v2, and its
-convergents come lazily from the Euclidean quotients of that pair.  Each
-candidate (k, l), and the replication gap, is evaluated by
+Both modes run one search, ``_approximate``; the mode picks only the
+bound (eps, or eps/2 in vd mode) and the wording of its refusals.  r is
+one pair of ints from the exact integer ratios of the Decimals t, v1 and
+v2, and its convergents come lazily from the Euclidean quotients of that
+pair.  Each candidate (k, l), and the replication gap, is evaluated by
 numerics.correctly_rounded from integer totals: the anchors' volume
 components over one common denominator D total (k*n1 + l*n2)/D.  Only
 the returned recipe becomes a Composition, built once with its final
 multiplicities; its vd_mod is its candidate's, which replication keeps.
+
+Every decision is exact.  The search compares the printed (correctly
+rounded) densities with the target, the tolerance and the bound under
+numerics._EXACT, which never rounds, so each difference and eps/2 is the
+exact Decimal and comparing Decimals is exact.  parse_decimal caps every
+exponent at MAX_EXPONENT, which bounds the digits of such a difference.
+So in vdmod mode the printed vd_mod lies strictly within eps of the
+target, and in vd mode the printed vd_mod lies within eps/2 of it and
+the printed replication gap below eps/2.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from ._frozen import Frozen
 from .calculus import Composition, DensityValue, composition
 from .catalog import BaseLink
 from .errors import CapExceededError, DegeneratePairError, DomainError, TargetRangeError
-from .numerics import PrecisionContext, correctly_rounded, parse_count, parse_decimal, parse_rational
+from .numerics import _EXACT, PrecisionContext, correctly_rounded, parse_count, parse_decimal, parse_rational
 
 __all__ = [
     "DEFAULT_MAX_DENOMINATOR",
@@ -131,38 +141,6 @@ def _vd_mod_evaluator(link1: BaseLink, link2: BaseLink, ctx: PrecisionContext):
     return value
 
 
-def _search(target: Decimal, eps: Decimal, link1, link2, value, ctx, max_denominator: int, reach: str):
-    """(k, l, vd_mod) of the first hit: each anchor alone within tolerance,
-    then each convergent k/l of the mixing ratio within eps.  ``value`` is
-    the pair's evaluator, and ``reach`` says what the cap refusal missed."""
-    tol = ctx.comparison_tolerance
-    with ctx.working():
-        anchors = []
-        for k, l in ((1, 0), (0, 1)):
-            anchors.append(value(k, l))
-            if abs(anchors[-1] - target) <= tol:  # below eps
-                return k, l, anchors[-1]
-        v1, v2 = anchors
-        if abs(v1 - v2) <= tol:
-            raise DegeneratePairError(
-                f"anchor densities {v1} and {v2} coincide within tolerance; no mixing ratio exists"
-            )
-        low, high = sorted(anchors)
-        if target < low - tol or target > high + tol:
-            raise TargetRangeError(f"target {target} lies outside [{low}, {high}]")
-        # a target more than tol from both anchors and within tol of [v1, v2]
-        # lies strictly between them, so the ratio is positive
-        ratio = _mixing_ratio(target, v1, v2, link1.atilde, link2.atilde)
-        for k, l in _convergents(*ratio, max_denominator):
-            achieved = value(k, l)
-            if abs(achieved - target) < eps:
-                return k, l, achieved
-    raise CapExceededError(
-        f"no convergent recipe reaches {reach} with denominator <= {max_denominator}; "
-        "raise the max_denominator cap"
-    )
-
-
 def _recipe(link1, link2, k: int, l: int, m: int, vdm: Decimal, target: Decimal, mode: str, ctx) -> Recipe:
     """m replications of (k copies of link1 + l of link2), one Composition
     built; ``vdm`` is the candidate's vd_mod, which replication keeps."""
@@ -174,65 +152,73 @@ def _recipe(link1, link2, k: int, l: int, m: int, vdm: Decimal, target: Decimal,
     return Recipe(k, l, m, c, *achieved, error, mode)
 
 
-def approximate_vd_mod(
-    target,
-    link1: BaseLink,
-    link2: BaseLink,
-    eps,
-    ctx: PrecisionContext,
-    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
-) -> Recipe:
-    """Smallest-denominator convergent recipe with |vd_mod - target| < eps,
-    or an anchor link alone when it sits within tolerance of the target."""
+def _approximate(target, link1: BaseLink, link2: BaseLink, eps, ctx: PrecisionContext,
+                 max_denominator: int, mode: str) -> Recipe:
+    """The search of both modes: each anchor alone within tolerance, else the
+    first convergent k/l of the mixing ratio within ``bound`` (eps, or eps/2
+    in vd mode), then in vd mode the least replication count m that puts
+    the gap below eps/2.  The mode also picks the wording of the refusals."""
     target = parse_decimal(target, "target")
     eps = parse_decimal(eps, "eps")
     parse_count(max_denominator, "max_denominator")
     if eps <= 0:
         raise DomainError(f"tolerance must be positive, got {eps}")
-    tol = ctx.comparison_tolerance
-    if eps <= tol:
-        raise DomainError(
-            f"tolerance {eps} is too fine for {ctx.digits} digits, which resolve "
-            f"only tolerances above {tol}; raise the precision"
-        )
-    value = _vd_mod_evaluator(link1, link2, ctx)
-    k, l, vdm = _search(target, eps, link1, link2, value, ctx, max_denominator, f"eps={eps}")
-    return _recipe(link1, link2, k, l, 1, vdm, target, "vdmod", ctx)
+    tol, vd = ctx.comparison_tolerance, mode == "vd"
+    with localcontext(_EXACT):  # every difference, eps/2 and comparison here is exact
+        bound = eps / 2 if vd else eps
+        if bound <= tol:
+            reason = (f": vd mode matches vd_mod to eps/2, and only tolerances above {tol} resolve" if vd
+                      else f", which resolve only tolerances above {tol}")
+            raise DomainError(f"tolerance {eps} is too fine for {ctx.digits} digits{reason}; raise the precision")
+        value = _vd_mod_evaluator(link1, link2, ctx)
+        v1, v2 = value(1, 0), value(0, 1)
+        hits = [(k, l, v) for k, l, v in ((1, 0, v1), (0, 1, v2)) if abs(v - target) <= tol]  # below eps
+        if hits:
+            k, l, vdm = hits[0]
+        else:
+            if abs(v1 - v2) <= tol:
+                raise DegeneratePairError(
+                    f"anchor densities {v1} and {v2} coincide within tolerance; no mixing ratio exists"
+                )
+            low, high = sorted((v1, v2))
+            # more than tol from both anchors, so a target within tol of [low, high] lies
+            # strictly inside it, and the mixing ratio is positive
+            if not low < target < high:
+                raise TargetRangeError(f"target {target} lies outside [{low}, {high}]")
+            for k, l in _convergents(*_mixing_ratio(target, v1, v2, link1.atilde, link2.atilde), max_denominator):
+                vdm = value(k, l)
+                if abs(vdm - target) < bound:
+                    break
+            else:
+                reach = f"eps={eps} (vd_mod within eps/2)" if vd else f"eps={eps}"
+                raise CapExceededError(
+                    f"no convergent recipe reaches {reach} with denominator <= {max_denominator}; "
+                    "raise the max_denominator cap"
+                )
+        m = 1
+        if vd:
+            atilde = k * link1.atilde + l * link2.atilde
+            # least m with vd_mod/(m*atilde+1) < eps/2, i.e. m > (2*vd_mod/eps - 1)/atilde
+            (nv, dv), (ne, de) = vdm.as_integer_ratio(), eps.as_integer_ratio()
+            m = max(1, (2 * nv * de - dv * ne) // (dv * ne * atilde) + 1)
+            while value(k, l, m * atilde + 1) >= bound:  # the gap replication_error gives; rarely taken
+                m += 1
+    return _recipe(link1, link2, k, l, m, vdm, target, mode, ctx)
 
 
-def approximate_vd(
-    target,
-    link1: BaseLink,
-    link2: BaseLink,
-    eps,
-    ctx: PrecisionContext,
-    max_denominator: int = DEFAULT_MAX_DENOMINATOR,
-) -> Recipe:
-    """Recipe with |vd - target| < eps.
+def approximate_vd_mod(target, link1: BaseLink, link2: BaseLink, eps, ctx: PrecisionContext,
+                       max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> Recipe:
+    """Smallest-denominator convergent recipe with |vd_mod - target| < eps,
+    or an anchor link alone when it sits within tolerance of the target."""
+    return _approximate(target, link1, link2, eps, ctx, max_denominator, "vdmod")
+
+
+def approximate_vd(target, link1: BaseLink, link2: BaseLink, eps, ctx: PrecisionContext,
+                   max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> Recipe:
+    """Recipe with |vd_mod - target| < eps/2 and replication gap below eps/2.
 
     Matches vd_mod to eps/2 first, then replicates the whole recipe m
     times; the replication gap vd_mod/(m*atilde+1) has a closed form, so
     the least m bringing it under eps/2 is computed directly.
     """
-    target = parse_decimal(target, "target")
-    eps = parse_decimal(eps, "eps")
-    if eps <= 0:
-        raise DomainError(f"tolerance must be positive, got {eps}")
-    with ctx.working():
-        half = eps / 2
-    if half <= ctx.comparison_tolerance:
-        raise DomainError(
-            f"tolerance {eps} is too fine for {ctx.digits} digits: vd mode matches vd_mod to eps/2, "
-            f"and only tolerances above {ctx.comparison_tolerance} resolve; raise the precision"
-        )
-    parse_count(max_denominator, "max_denominator")
-    value = _vd_mod_evaluator(link1, link2, ctx)
-    reach = f"eps={eps} (vd_mod within eps/2)"
-    k, l, vdm = _search(target, half, link1, link2, value, ctx, max_denominator, reach)
-    atilde = k * link1.atilde + l * link2.atilde
-    # least m with vd_mod/(m*atilde+1) < eps/2, i.e. m > (2*vd_mod/eps - 1)/atilde
-    (nv, dv), (ne, de) = vdm.as_integer_ratio(), eps.as_integer_ratio()
-    m = max(1, (2 * nv * de - dv * ne) // (dv * ne * atilde) + 1)
-    while value(k, l, m * atilde + 1) >= half:  # the gap replication_error gives; rarely taken
-        m += 1
-    return _recipe(link1, link2, k, l, m, vdm, target, "vd", ctx)
+    return _approximate(target, link1, link2, eps, ctx, max_denominator, "vd")

@@ -23,8 +23,6 @@ from fractions import Fraction
 
 from . import numerics
 from ._frozen import Frozen
-from .calculus import DensityValue, composition, densities, format_recipe
-from .catalog import Catalog, ExactVolume
 from .errors import CapExceededError, DomainError
 from .numerics import PrecisionContext
 
@@ -84,10 +82,14 @@ def vd_lower_bound(a: int, ctx: PrecisionContext) -> Decimal:
 def _density_parts(value, ctx: PrecisionContext) -> tuple[tuple[Fraction, Fraction, Fraction], Fraction]:
     """A density input's exact (c_oct, c_tet, remainder) parts and its slack:
     0 for an exact input, the context tolerance for a decimal one."""
-    if isinstance(value, DensityValue):
-        return value.exact_parts(), Fraction(0)
-    if isinstance(value, ExactVolume):
-        return value.components(), Fraction(0)
+    if not isinstance(value, (str, int, Decimal)):  # imported here, so a decimal loads neither layer
+        from .calculus import DensityValue
+        from .catalog import ExactVolume
+
+        if isinstance(value, DensityValue):
+            return value.exact_parts(), Fraction(0)
+        if isinstance(value, ExactVolume):
+            return value.components(), Fraction(0)
     density = Fraction(numerics.parse_decimal(value, "density"))
     return (Fraction(0), Fraction(0), density), Fraction(ctx.comparison_tolerance)
 
@@ -181,6 +183,8 @@ def spectrum_scan(
 
     Raises CapExceededError as soon as a row past ``max_rows`` turns up,
     before any row is evaluated."""
+    from .calculus import composition, densities, format_recipe
+
     numerics.parse_count(budget, "budget")
     numerics.parse_count(max_rows, "max_rows")
     multisets = []

@@ -2,11 +2,12 @@
 end-to-end recipe search."""
 
 import random
+from datetime import timedelta
 from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fal_spectrum import (
     CapExceededError,
@@ -23,7 +24,7 @@ from fal_spectrum import (
     vd_mod,
     self_sum,
 )
-from fal_spectrum import approx, calculus
+from fal_spectrum import approx, calculus, numerics
 from fal_spectrum.numerics import PrecisionContext, two_v_oct
 from helpers import make_link
 from oracles import alpha_for_target, best_error_upto, eager_convergents, target_ratio
@@ -308,12 +309,21 @@ def test_vd_mode_rejects_bad_eps(ctx, l41):
 
 @pytest.mark.parametrize("eps", ["1.5E-25", "2E-25"])
 def test_vd_mode_precision_error_quotes_the_callers_eps(ctx, l41, eps):
-    # eps/2 is at or under the 30-digit tolerance 1E-25, while eps itself is above it
+    # eps/2 is under or (2E-25, exactly) at the 30-digit tolerance 1E-25, while eps itself is above it
     with pytest.raises(DomainError) as info:
         approximate_vd(Decimal(9), l41, S10, Decimal(eps), ctx)
     message = str(info.value)
     assert message.startswith(f"tolerance {eps} is too fine for 30 digits")
     assert "above 1E-25" in message
+
+
+def test_vd_mode_refusal_uses_the_exact_half_of_eps(ctx, l41):
+    # eps/2 = 1.00000000000000000000000000000000000000005E-25 lies above the tolerance
+    # 1E-25; rounded to the 35 working digits it was 1E-25, and the search refused
+    eps = Decimal("2.0000000000000000000000000000000000000001E-25")
+    recipe = approximate_vd(Decimal(9), l41, S10, eps, ctx, max_denominator=10**30)
+    assert (recipe.k, recipe.l, recipe.m) == (6889324558371, 2304169384927, 4888601938504)
+    assert abs(Fraction(recipe.achieved_vd_mod.evaluated) - 9) < Fraction(eps) / 2
 
 
 def test_vd_mode_cap_error_quotes_the_callers_eps(ctx, l41):
@@ -360,6 +370,106 @@ def test_anchor_recipes_in_both_modes(digits, anchor, offset, expected, l41):
     assert replication_error(alone, m, ctx) < eps / 2 <= replication_error(alone, m - 1, ctx)
     assert recipe.achieved_vd.exact_parts() == vd(self_sum(link, m), ctx).exact_parts()
     assert recipe.error < eps
+
+
+# The printed vd_mod of L41 at 30 digits is 7.32772475341775212043682811946, and
+# these targets lie 1e-25 + 1e-60 and 1e-25 - 1e-60 above it: just past the
+# tolerance 1e-25, and just inside it.  A distance rounded to 35 digits is 1e-25 for both.
+@pytest.mark.parametrize(
+    "target,vdmod,vd",
+    [
+        (
+            "7.327724753417752120436828219460000000000000000000000000000001",
+            (133613762329112393978158589, 1, 1),
+            (133613762329112393978158589, 1, 1),
+        ),
+        ("7.327724753417752120436828219459999999999999999999999999999999", (1, 0, 1), (1, 0, 29)),
+    ],
+    ids=["past-the-tolerance", "inside-the-tolerance"],
+)
+def test_anchor_tolerance_is_decided_on_the_exact_distance(ctx, l41, target, vdmod, vd):
+    for search, expected in ((approximate_vd_mod, vdmod), (approximate_vd, vd)):
+        recipe = search(Decimal(target), l41, S10, Decimal("0.5"), ctx)
+        assert (recipe.k, recipe.l, recipe.m) == expected
+
+
+def _exact_decimal(x: Fraction) -> Decimal:
+    """x, whose denominator divides a power of ten, as a Decimal, unrounded."""
+    with localcontext(numerics._EXACT):
+        return Decimal(x.numerator) / x.denominator
+
+
+def _offsets(scale: Fraction, digits: int):
+    """Multiples of scale/10**(digits + 5) within three scales of 0, the ends
+    of one scale on either side weighted in.  At the tolerance that step is
+    10**-(2*digits), below half a unit of a distance rounded to digits + 5 digits."""
+    edge = 10 ** (digits + 5)
+    steps = st.one_of(
+        st.sampled_from([-edge - 1, -edge, -edge + 1, 0, edge - 1, edge, edge + 1]),
+        st.integers(-3 * edge, 3 * edge),
+    )
+    return steps.map(lambda n: scale * Fraction(n, edge))
+
+
+@st.composite
+def _search_inputs(draw):
+    """(ctx, second link, target, eps): a target and an eps of up to about
+    2*digits + 1 significant digits, within a few tolerances of an anchor, of the
+    anchors pushed apart by the bound, or of the tolerance itself."""
+    digits = draw(st.sampled_from([20, 30]))
+    ctx = PrecisionContext(digits)
+    tol = Fraction(ctx.comparison_tolerance)
+    v1 = Fraction(two_v_oct(ctx))  # the printed vd_mod of L41
+    # a second anchor within a few tolerances of the first, or S10 at 10
+    steps = st.one_of(st.sampled_from([10**4 - 1, 10**4, 10**4 + 1]), st.integers(1, 3 * 10**4))
+    near = draw(steps) * tol / 10**4  # whole last places of v1, so B's printed vd_mod is v1 + near
+    link2 = draw(st.sampled_from([S10, make_link("B", remainder=str(_exact_decimal(v1 + near)), a=2)]))
+    v2 = v1 + near if link2.name == "B" else Fraction(10)
+    eps = draw(st.one_of(
+        st.sampled_from([Fraction(1, 2), Fraction(1, 10**3), Fraction(1, 10**12)]),
+        st.sampled_from([tol, 2 * tol]).flatmap(lambda c: _offsets(tol, digits).map(lambda x: c + x)),
+    ).filter(lambda e: e > 0))
+    center = draw(st.sampled_from([v1, v2, v1 + eps / 2, v2 - eps / 2, v1 + eps, v2 - eps, (v1 + v2) / 2]))
+    target = center + draw(_offsets(tol, digits))
+    return ctx, link2, _exact_decimal(target), _exact_decimal(eps)
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=5))
+@given(_search_inputs())
+def test_every_search_decision_matches_fractions(l41, inputs):
+    """Each outcome is the one the same decisions make in Fractions on the
+    printed anchors, and a returned recipe keeps its mode's bounds exactly."""
+    ctx, link2, target, eps = inputs
+    t, e, tol = Fraction(target), Fraction(eps), Fraction(ctx.comparison_tolerance)
+    f1, f2 = (Fraction(vd_mod(self_sum(link, 1), ctx).evaluated) for link in (l41, link2))
+    for search, bound in ((approximate_vd_mod, e), (approximate_vd, e / 2)):
+        if bound <= tol:
+            expected = DomainError
+        elif abs(f1 - t) <= tol:
+            expected = (1, 0)
+        elif abs(f2 - t) <= tol:
+            expected = (0, 1)
+        elif abs(f1 - f2) <= tol:
+            expected = DegeneratePairError
+        elif t < min(f1, f2) - tol or t > max(f1, f2) + tol:
+            expected = TargetRangeError
+        else:
+            expected = None  # a convergent, with k, l >= 1
+        if isinstance(expected, type):
+            with pytest.raises(DomainError) as info:
+                search(target, l41, link2, eps, ctx, 10**50)
+            assert type(info.value) is expected
+            assert expected is not DomainError or "too fine" in str(info.value)
+            continue
+        recipe = search(target, l41, link2, eps, ctx, 10**50)
+        if expected:
+            assert (recipe.k, recipe.l) == expected
+        else:
+            assert recipe.k >= 1 and recipe.l >= 1
+        assert abs(Fraction(recipe.achieved_vd_mod.evaluated) - t) < bound
+        if search is approximate_vd:
+            base = composition([(link, n) for link, n in ((l41, recipe.k), (link2, recipe.l)) if n])
+            assert Fraction(replication_error(base, recipe.m, ctx)) < e / 2
 
 
 # ---------------------------------------------------------------------------

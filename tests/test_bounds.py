@@ -25,7 +25,7 @@ from fal_spectrum import (
     vd_lower_bound,
     self_sum,
 )
-from fal_spectrum import bounds, numerics
+from fal_spectrum import calculus, numerics
 from fal_spectrum.numerics import PrecisionContext, round_to, ten_v_tet, two_v_oct, v_oct
 from helpers import PROBE_TET, make_link
 from oracles import count_scan_rows
@@ -305,7 +305,8 @@ def test_scan_refusal_is_prompt_and_builds_no_row(ctx, monkeypatch):
     # about 1.07e10 multisets fit the budget; only cap+1 may be walked
     cat = Catalog.from_links([make_link("A", c_oct=3, a=2), make_link("B", c_tet=9, a=2)])
     evaluated = []
-    monkeypatch.setattr(bounds, "densities", lambda c, ctx: evaluated.append(c))
+    # spectrum_scan imports densities from calculus when it runs
+    monkeypatch.setattr(calculus, "densities", lambda c, ctx: evaluated.append(c))
     started = time.perf_counter()
     with pytest.raises(CapExceededError, match="more than 100000 rows"):
         spectrum_scan(cat, 4000, ctx)

@@ -70,6 +70,15 @@ def test_a_table_run_imports_neither_dataclasses_nor_csv(index):
     assert modules & {"dataclasses", "inspect", "csv"} == set()
 
 
+@pytest.mark.parametrize(
+    "argv", [["certify", "--density", "5.5"], ["classify", "--density", "9"], ["bounds", "--a", "5"]], ids=lambda a: a[0]
+)
+def test_a_decimal_query_imports_neither_catalog_nor_calculus(argv):
+    stdout, modules = _modules_after(argv)
+    assert stdout and "fal_spectrum.bounds" in modules
+    assert modules & {"fal_spectrum.catalog", "fal_spectrum.calculus"} == set()
+
+
 @pytest.mark.parametrize("index", [0, 26], ids=["constants", "scan"])
 def test_console_script_prints_the_same_bytes_as_dash_m(index):
     argv, case = _golden(index)
