@@ -73,7 +73,8 @@ def test_target_ratio_algebra(ctx):
     assert abs(approx_ratio - Decimal("2.98994")) < Decimal("1e-4")
 
 
-_anchor_values = st.builds(lambda n, places: Decimal(n).scaleb(-places), st.integers(1, 10**40), st.integers(0, 38))
+# built from a string: scaleb would round to the default context's 28 digits
+_anchor_values = st.builds(lambda n, places: Decimal(f"{n}E-{places}"), st.integers(1, 10**40), st.integers(0, 38))
 
 
 @given(
