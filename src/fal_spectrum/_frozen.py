@@ -4,19 +4,25 @@
 class Frozen:
     """An immutable value whose fields are its ``__slots__``.
 
-    A subclass lists its fields in ``__slots__``, in the order its own
-    ``__init__`` takes them, and sets each there with ``object.__setattr__``;
-    assigning or deleting a field later raises AttributeError.  Equality
-    holds between instances of one class whose ``_key()`` tuples are equal,
-    and the hash is that tuple's; ``_key`` reads every field unless a
-    subclass narrows it.  ``repr`` shows the fields without a leading
-    underscore, and copying or pickling calls the class again with them.
+    The constructor takes one value per field, positionally in slot order,
+    and raises TypeError on any other count; a subclass that checks its
+    arguments passes them on with ``super().__init__``.  Assigning or
+    deleting a field raises AttributeError.  ``repr``, copying, pickling
+    and ``_key`` (unless a subclass narrows it) read the fields without a
+    leading underscore; equality compares ``_key()`` within one class, and
+    the hash is that tuple's.
     """
 
     __slots__ = ()
 
+    def __init__(self, *values) -> None:
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}, got {len(values)} values")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
     def _key(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._fields()])
 
     def _fields(self) -> list[str]:
         return [name for name in self.__slots__ if not name.startswith("_")]

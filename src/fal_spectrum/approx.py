@@ -44,7 +44,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from ._frozen import Frozen
-from .calculus import Composition, DensityValue, composition
+from .calculus import DensityValue, composition
 from .catalog import BaseLink
 from .errors import CapExceededError, DegeneratePairError, DomainError, TargetRangeError
 from .numerics import _EXACT, PrecisionContext, correctly_rounded, parse_count, parse_decimal, parse_rational
@@ -70,11 +70,6 @@ class Recipe(Frozen):
     """
 
     __slots__ = ("k", "l", "m", "composition", "achieved_vd_mod", "achieved_vd", "error", "mode")
-
-    def __init__(self, k: int, l: int, m: int, composition: Composition, achieved_vd_mod: DensityValue,
-                 achieved_vd: DensityValue, error: Decimal, mode: str) -> None:
-        for name, value in zip(self.__slots__, (k, l, m, composition, achieved_vd_mod, achieved_vd, error, mode)):
-            object.__setattr__(self, name, value)
 
 
 def _mixing_ratio(t: Decimal, v1: Decimal, v2: Decimal, atilde1: int, atilde2: int) -> tuple[int, int]:

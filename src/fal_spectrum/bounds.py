@@ -55,11 +55,6 @@ class Certificate(Frozen):
 
     __slots__ = ("threshold", "max_augmentations", "statement")
 
-    def __init__(self, threshold: Decimal, max_augmentations: int, statement: str) -> None:
-        object.__setattr__(self, "threshold", threshold)
-        object.__setattr__(self, "max_augmentations", max_augmentations)
-        object.__setattr__(self, "statement", statement)
-
 
 def euler_characteristic(a: int) -> int:
     """chi = 1 - a for either half of the cut-open complement."""
@@ -133,22 +128,11 @@ def max_augmentations_below(density, ctx: PrecisionContext) -> Certificate:
         )
     n = numerics.floor_quotient((2, 0, 0), (2 - parts[0], -parts[1], -parts[2] - slack), ctx)
     threshold = numerics.correctly_rounded(*parts, 1, ctx)
-    return Certificate(
-        threshold=threshold,
-        max_augmentations=n,
-        statement=f"every FAL with vd(L) <= {threshold} has a(L) <= {n}",
-    )
+    return Certificate(threshold, n, f"every FAL with vd(L) <= {threshold} has a(L) <= {n}")
 
 
 class ScanRow(Frozen):
     __slots__ = ("recipe", "a", "atilde", "vd", "vd_mod")
-
-    def __init__(self, recipe: str, a: int, atilde: int, vd: DensityValue, vd_mod: DensityValue) -> None:
-        object.__setattr__(self, "recipe", recipe)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "atilde", atilde)
-        object.__setattr__(self, "vd", vd)
-        object.__setattr__(self, "vd_mod", vd_mod)
 
 
 def _multisets(catalog: Catalog, budget: int):
@@ -198,14 +182,6 @@ def spectrum_scan(
     for parts in multisets:
         c = composition(parts)
         row_vd, row_vd_mod = densities(c, ctx)
-        rows.append(
-            ScanRow(
-                recipe=format_recipe(c),
-                a=c.atilde + 1,
-                atilde=c.atilde,
-                vd=row_vd,
-                vd_mod=row_vd_mod,
-            )
-        )
+        rows.append(ScanRow(format_recipe(c), c.atilde + 1, c.atilde, row_vd, row_vd_mod))
     rows.sort(key=lambda row: (row.vd.evaluated, row.recipe))
     return rows

@@ -56,11 +56,6 @@ class Composition(Frozen):
 
     __slots__ = ("parts", "volume", "atilde")
 
-    def __init__(self, parts: tuple[tuple[BaseLink, int], ...], volume: ExactVolume, atilde: int) -> None:
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "volume", volume)
-        object.__setattr__(self, "atilde", atilde)
-
     def _key(self) -> tuple:
         return (self.parts,)
 
@@ -115,11 +110,6 @@ class DensityValue(Frozen):
     alongside its evaluated decimal."""
 
     __slots__ = ("numerator", "denominator", "evaluated")
-
-    def __init__(self, numerator: ExactVolume, denominator: int, evaluated: Decimal) -> None:
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "evaluated", evaluated)
 
     def exact_parts(self) -> tuple[Fraction, Fraction, Fraction]:
         """(c_oct, c_tet, remainder) of the density itself, exact."""

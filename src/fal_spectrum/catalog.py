@@ -56,11 +56,13 @@ class ExactVolume(Frozen):
     __slots__ = ("c_oct", "c_tet", "remainder")
 
     def __init__(self, c_oct=Fraction(0), c_tet=Fraction(0), remainder=Fraction(0)) -> None:
+        components = []
         for name, value in (("c_oct", c_oct), ("c_tet", c_tet), ("remainder", remainder)):
             value = _parsed(numerics.parse_rational, value, name)
             if value < 0:
                 raise CatalogError(f"{name} must be nonnegative, got {value}")
-            object.__setattr__(self, name, value)
+            components.append(value)
+        super().__init__(*components)
 
     @classmethod
     def from_fields(cls, c_oct="0", c_tet="0", remainder="0") -> "ExactVolume":
@@ -110,10 +112,7 @@ class BaseLink(Frozen):
             raise CatalogError(f"{name}: volume must be positive")
         if not isinstance(note, str):
             raise CatalogError(f"{name}: note must be a string")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "volume", volume)
-        object.__setattr__(self, "augmentations", augmentations)
-        object.__setattr__(self, "note", note)
+        super().__init__(name, volume, augmentations, note)
 
     def _key(self) -> tuple:
         return (self.name, self.volume, self.augmentations)
@@ -148,11 +147,7 @@ class Catalog(Frozen):
     __slots__ = ("links", "_by_name")
 
     def __init__(self, links: tuple[BaseLink, ...]) -> None:
-        object.__setattr__(self, "links", links)
-        object.__setattr__(self, "_by_name", {link.name: link for link in links})
-
-    def _key(self) -> tuple:
-        return (self.links,)
+        super().__init__(links, {link.name: link for link in links})
 
     @classmethod
     def from_links(cls, links) -> "Catalog":
@@ -245,11 +240,6 @@ def load_catalog_file(path) -> Catalog:
 
 class Diagnostic(Frozen):
     __slots__ = ("level", "link", "message")
-
-    def __init__(self, level: str, link: str, message: str) -> None:
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "link", link)
-        object.__setattr__(self, "message", message)
 
 
 def validate_entry(link: BaseLink, ctx: PrecisionContext) -> list[Diagnostic]:

@@ -146,7 +146,7 @@ class PrecisionContext(Frozen):
             raise ConfigurationError(str(exc)) from None
         if digits > MAX_DIGITS:
             raise ConfigurationError(f"precision must be at most {MAX_DIGITS} digits, got {digits}")
-        object.__setattr__(self, "digits", digits)
+        super().__init__(digits)
 
     @property
     def working_prec(self) -> int:

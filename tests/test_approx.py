@@ -303,9 +303,33 @@ def test_monotone_refinement(ctx, l41):
     )
 
 
-def test_vd_mode_rejects_bad_eps(ctx, l41):
-    with pytest.raises(DomainError):
-        approximate_vd(Decimal(9), l41, S10, Decimal("-1e-6"), ctx)
+@pytest.mark.parametrize("search", [approximate_vd_mod, approximate_vd])
+@pytest.mark.parametrize("eps", ["0", "-1E-6"])
+def test_nonpositive_eps_is_refused_as_not_positive(ctx, l41, search, eps):
+    # every bound at or below the tolerance is also too fine; a nonpositive one names its own cause
+    with pytest.raises(DomainError) as info:
+        search(Decimal(9), l41, S10, Decimal(eps), ctx)
+    assert str(info.value) == f"tolerance must be positive, got {Decimal(eps)}"
+
+
+def test_candidate_exactly_at_the_bound_is_refused(ctx, l41):
+    # eps is the exact distance of the convergent 595/199's printed vd_mod from 9; the
+    # search accepts only a candidate strictly within eps, so it goes on to 891/298
+    eps = Decimal("0.00000237214870282285540079806")
+    with localcontext(numerics._EXACT):
+        assert 9 - vd_mod(composition({l41: 595, S10: 199}), ctx).evaluated == eps
+    recipe = approximate_vd_mod(Decimal("9.0"), l41, S10, eps, ctx)
+    assert (recipe.k, recipe.l, recipe.m) == (891, 298, 1)
+
+
+def test_replication_gap_exactly_half_eps_is_refused(ctx, l41):
+    # at m = 7, the count the closed form gives, the printed gap of 296/99 equals eps/2;
+    # the gap must lie below eps/2, so the search replicates once more
+    eps = Decimal("0.00325027383589563458703174395744")
+    with localcontext(numerics._EXACT):
+        assert replication_error(composition({l41: 296, S10: 99}), 7, ctx) == eps / 2
+    recipe = approximate_vd(Decimal("9.0"), l41, S10, eps, ctx)
+    assert (recipe.k, recipe.l, recipe.m) == (296, 99, 8)
 
 
 @pytest.mark.parametrize("eps", ["1.5E-25", "2E-25"])

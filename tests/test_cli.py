@@ -339,6 +339,12 @@ def test_unresolvable_eps_is_precision_error(capsys, catalog_file, mode):
     assert "max_denominator" not in err
 
 
+def test_zero_eps_is_not_positive(capsys):
+    # not "too fine for 30 digits": no precision resolves a zero tolerance
+    argv = ["approximate", "--l1", "L41", "--l2", "L41", "--target", "7.4", "--eps", "0"]
+    assert run_cli(capsys, *argv) == (1, "", "error: tolerance must be positive, got 0\n")
+
+
 def test_approximate_out_of_range(capsys, catalog_file):
     code, _, err = run_cli(
         capsys,

@@ -4,6 +4,7 @@ validation, a readable repr, and copies that compare equal."""
 
 import copy
 import pickle
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -81,6 +82,27 @@ FIELDS = {
 }
 
 
+# the classes whose constructor only stores its fields, positionally and with no defaults
+STORE_ONLY = {"Diagnostic", "Composition", "DensityValue", "Recipe", "Certificate", "ScanRow"}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_constructor_takes_the_fields_in_order(name):
+    value = CASES[name][0]()
+    fields = [getattr(value, field) for field in FIELDS[name]]
+    assert type(value)(*fields) == value
+    with pytest.raises(TypeError):
+        type(value)(*fields, None)
+    if name in STORE_ONLY:
+        count = re.escape(f"{name} takes the fields {FIELDS[name]}, got")
+        with pytest.raises(TypeError, match=f"{count} {len(fields) - 1} values$"):
+            type(value)(*fields[:-1])
+        with pytest.raises(TypeError, match=f"{count} {len(fields) + 1} values$"):
+            type(value)(*fields, None)
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            type(value)(**dict(zip(FIELDS[name], fields)))
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_fields_cannot_be_assigned_or_deleted(name):
     value = CASES[name][0]()
@@ -102,6 +124,8 @@ def test_copies_and_pickles_compare_equal(name):
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert twin == value and hash(twin) == hash(value)
         assert repr(twin) == repr(value)
+        # every slot, private ones too, so a copied Catalog still finds "S10" by name
+        assert [getattr(twin, slot) for slot in twin.__slots__] == [getattr(value, slot) for slot in value.__slots__]
 
 
 def test_base_link_hashes_by_name_and_ignores_the_note():
