@@ -94,11 +94,9 @@ def test_constructor_takes_the_fields_in_order(name):
     with pytest.raises(TypeError):
         type(value)(*fields, None)
     if name in STORE_ONLY:
-        count = re.escape(f"{name} takes the fields {FIELDS[name]}, got")
-        with pytest.raises(TypeError, match=f"{count} {len(fields) - 1} values$"):
+        message = re.escape(f"{name} takes the fields {FIELDS[name]}, got {len(fields) - 1} values")
+        with pytest.raises(TypeError, match=f"^{message}$"):
             type(value)(*fields[:-1])
-        with pytest.raises(TypeError, match=f"{count} {len(fields) + 1} values$"):
-            type(value)(*fields, None)
         with pytest.raises(TypeError, match="unexpected keyword argument"):
             type(value)(**dict(zip(FIELDS[name], fields)))
 
