@@ -14,7 +14,7 @@ import csv
 import sys
 from decimal import Decimal
 
-from fal_spectrum import BaseLink, ExactVolume, Recipe, approximate_vd, builtin_catalog
+from fal_spectrum import BaseLink, Catalog, ExactVolume, Recipe, approximate_vd
 from fal_spectrum.numerics import PrecisionContext, ten_v_tet, two_v_oct, v_tet
 
 
@@ -40,7 +40,7 @@ def sweep_targets(ctx: PrecisionContext, count: int, margin: Decimal) -> list[De
 
 def sweep(ctx: PrecisionContext, count: int, eps: Decimal, margin: Decimal) -> list[tuple[Decimal, Recipe]]:
     """(target, recipe) for each target, anchored on L41 and the ceiling link."""
-    l41 = builtin_catalog()["L41"]
+    l41 = Catalog()["L41"]
     ceiling = near_ceiling_link(ctx)
     return [(t, approximate_vd(t, l41, ceiling, eps, ctx)) for t in sweep_targets(ctx, count, margin)]
 

@@ -42,8 +42,6 @@ _LAYERS = {
         "Catalog",
         "Diagnostic",
         "ExactVolume",
-        "builtin_catalog",
-        "builtin_links",
         "load_catalog",
         "validate_entry",
     ),

@@ -4,13 +4,14 @@
 class Frozen:
     """An immutable value whose fields are its ``__slots__``.
 
-    The constructor takes one value per field, positionally in slot order,
+    The constructor takes one value per slot, positionally in slot order,
     and raises TypeError on any other count; a subclass that checks its
     arguments passes them on with ``super().__init__``.  Assigning or
-    deleting a field raises AttributeError.  ``repr``, copying, pickling
-    and ``_key`` (unless a subclass narrows it) read the fields without a
-    leading underscore; equality compares ``_key()`` within one class, and
-    the hash is that tuple's.
+    deleting a field raises AttributeError.  ``repr``, ``_key`` (unless a
+    subclass narrows it), copying and pickling read the fields without a
+    leading underscore, and a copy or an unpickle calls the subclass's
+    constructor with them, so its checks run again.  Equality compares
+    ``_key()`` within one class, and the hash is that tuple's.
     """
 
     __slots__ = ()

@@ -13,7 +13,7 @@ Missing c_oct/c_tet/remainder default to "0".
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from decimal import Decimal
 from fractions import Fraction
 
@@ -27,8 +27,6 @@ __all__ = [
     "Catalog",
     "Diagnostic",
     "ExactVolume",
-    "builtin_links",
-    "builtin_catalog",
     "load_catalog",
     "validate_entry",
 ]
@@ -129,36 +127,31 @@ class BaseLink(Frozen):
         return (self.name, self.augmentations, *self.volume.components())
 
 
-def builtin_links() -> tuple[BaseLink, ...]:
-    """Links every catalog ships with (unless a file shadows the name)."""
-    return (
-        BaseLink(
-            name="L41",
-            volume=ExactVolume(c_oct=Fraction(2)),
-            augmentations=2,
-            note="fully augmented figure-eight knot; volume 2*v_oct, density at the spectrum floor",
-        ),
-    )
+# in every catalog unless one of its links takes the name
+_L41 = BaseLink(
+    "L41", ExactVolume(2), 2, "fully augmented figure-eight knot; volume 2*v_oct, density at the spectrum floor"
+)
 
 
 class Catalog(Frozen):
-    """Immutable name-indexed collection of base links, compared by its links."""
+    """Immutable name-indexed collection of base links, compared by its links.
+
+    ``Catalog(links)`` refuses a non-BaseLink and a repeated name, adds L41
+    unless a link takes its name, and sorts by ``BaseLink.sort_key``.
+    ``Catalog()`` is the builtin catalog; a copy or an unpickle is checked alike."""
 
     __slots__ = ("links", "_by_name")
 
-    def __init__(self, links: tuple[BaseLink, ...]) -> None:
-        super().__init__(links, {link.name: link for link in links})
-
-    @classmethod
-    def from_links(cls, links) -> "Catalog":
-        seen: dict[str, BaseLink] = {}
+    def __init__(self, links: Iterable[BaseLink] = ()) -> None:
+        by_name: dict[str, BaseLink] = {}
         for link in links:
-            if link.name in seen:
+            if not isinstance(link, BaseLink):
+                raise CatalogError(f"catalog links must be BaseLink, got {type(link).__name__}")
+            if link.name in by_name:
                 raise CatalogError(f"duplicate link name {link.name!r}")
-            seen[link.name] = link
-        for link in builtin_links():
-            seen.setdefault(link.name, link)
-        return cls(tuple(sorted(seen.values(), key=BaseLink.sort_key)))
+            by_name[link.name] = link
+        by_name.setdefault(_L41.name, _L41)
+        super().__init__(tuple(sorted(by_name.values(), key=BaseLink.sort_key)), by_name)
 
     def __iter__(self) -> Iterator[BaseLink]:
         return iter(self.links)
@@ -175,10 +168,6 @@ class Catalog(Frozen):
         except KeyError:
             known = ", ".join(link.name for link in self.links)
             raise CatalogError(f"unknown link {name!r} (catalog has: {known})") from None
-
-
-def builtin_catalog() -> Catalog:
-    return Catalog.from_links(())
 
 
 _ENTRY_FIELDS = {"name", "c_oct", "c_tet", "remainder", "a", "note"}
@@ -223,7 +212,7 @@ def load_catalog(source: str) -> Catalog:
             )
         except CatalogError as exc:
             raise CatalogError(f"{where}: {exc}") from exc
-    return Catalog.from_links(entries)
+    return Catalog(entries)
 
 
 def load_catalog_file(path) -> Catalog:

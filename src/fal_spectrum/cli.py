@@ -165,7 +165,7 @@ def _render_rows(header: list[str], rows: list[list[str]], fmt: str) -> str:
 def _load_catalog(path):
     from . import catalog
 
-    return catalog.builtin_catalog() if path is None else catalog.load_catalog_file(path)
+    return catalog.Catalog() if path is None else catalog.load_catalog_file(path)
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -173,6 +174,8 @@ def _context(prec: int) -> Context:
 # The input boundary: every number and count a caller passes in
 
 def _finite_decimal(value, what: str, noun: str) -> Decimal:
+    if isinstance(value, bool):
+        raise DomainError(f"{what}: booleans are not accepted: {value!r}")
     if isinstance(value, float):
         raise DomainError(f"{what}: floats are not accepted: {value!r}")
     try:
@@ -194,18 +197,26 @@ def parse_decimal(value, what: str) -> Decimal:
 
 
 def parse_rational(value, what: str) -> Fraction:
-    """``value`` as a Fraction: an int or Fraction as it is, a "p/q" string by
-    Fraction's grammar (which allows no exponent after the "/"), anything
-    else by the rules of parse_decimal."""
+    """``value`` as a Fraction: an int (not a bool) or Fraction as it is, a
+    "p/q" string by Fraction's grammar (no exponent after the "/", p and q
+    within int()'s limit on digits), anything else by parse_decimal's rules."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str) and "/" in value:
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise DomainError(f"{what}: not a valid rational: {value!r}") from None
+        except ZeroDivisionError:
+            pass
+        except ValueError:
+            try:  # with each run of digits cut to "1", only the grammar is left to fail
+                Fraction(re.sub(r"\d+", "1", value))
+            except ValueError:
+                pass
+            else:
+                raise DomainError(f"{what}: too many digits") from None
+        raise DomainError(f"{what}: not a valid rational: {value!r}") from None
     return Fraction(_finite_decimal(value, what, "rational"))
 
 

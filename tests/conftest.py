@@ -9,7 +9,7 @@ settings.register_profile(
 )
 settings.load_profile("fal")
 
-from fal_spectrum import PrecisionContext, builtin_catalog
+from fal_spectrum import Catalog, PrecisionContext
 
 
 @pytest.fixture(scope="session")
@@ -19,4 +19,4 @@ def ctx():
 
 @pytest.fixture(scope="session")
 def l41():
-    return builtin_catalog()["L41"]
+    return Catalog()["L41"]

@@ -15,10 +15,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from fal_spectrum import (
+    Catalog,
     ExactVolume,
     WindowClass,
     best_rational_approximations,
-    builtin_catalog,
     classify,
     composition,
     max_augmentations_below,
@@ -56,7 +56,7 @@ def criterion(number, description):
 # shared synthetic material
 
 def _mixed_pool():
-    l41 = builtin_catalog()["L41"]
+    l41 = Catalog()["L41"]
     return [
         l41,
         make_link("S10", remainder="50", a=6),
@@ -102,7 +102,7 @@ def test_criterion_01_constants_against_quadrature_oracle():
 
 def test_criterion_02_exact_link_identities():
     with criterion(2, "figure-eight identities hold with zero tolerance"):
-        l41 = builtin_catalog()["L41"]
+        l41 = Catalog()["L41"]
         one = self_sum(l41, 1)
         assert vd(one, CTX).exact_parts() == (Fraction(1), Fraction(0), Fraction(0))
         assert vd(one, CTX).evaluated == v_oct(CTX)
@@ -176,7 +176,7 @@ def test_criterion_06_density_sweep():
         report, recipes = _run_density_sweep()
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"sweep took {elapsed:.3f}s"
-        l41 = builtin_catalog()["L41"]
+        l41 = Catalog()["L41"]
         ceiling = density_sweep.near_ceiling_link(CTX)
         for target, recipe in recipes:
             assert recipe.error < Decimal("1e-6")
@@ -226,7 +226,7 @@ def test_criterion_08_window_classification(capsys):
 
 def test_criterion_09_scan_of_builtin_catalog():
     with criterion(9, "budget-50 scan yields the 50 self-sum rows with the exact gap law"):
-        rows = spectrum_scan(builtin_catalog(), 50, CTX)
+        rows = spectrum_scan(Catalog(), 50, CTX)
         assert len(rows) == 50
         densities = [row.vd.evaluated for row in rows]
         assert all(a < b for a, b in zip(densities, densities[1:]))  # strictly increasing

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from fal_spectrum import (
+    Catalog,
     CatalogError,
     DomainError,
     ExactVolume,
@@ -15,7 +16,6 @@ from fal_spectrum import (
     approximate_vd,
     approximate_vd_mod,
     best_rational_approximations,
-    builtin_catalog,
     classify,
     max_augmentations_below,
     spectrum_scan,
@@ -24,7 +24,7 @@ from fal_spectrum.numerics import PrecisionContext
 from helpers import make_link
 
 CTX = PrecisionContext(30)
-L41 = builtin_catalog()["L41"]
+L41 = Catalog()["L41"]
 S10 = make_link("S10", remainder="50", a=6)
 
 # entry point name -> (call with the bad value, argument named in the error, error class)
@@ -49,10 +49,11 @@ BAD_NUMBERS = {
     "abc": "abc",
     "exponent-str": "1e10001",
     "exponent-decimal": Decimal("1e10001"),
+    "bool": True,
 }
 
 COUNT_ENTRY_POINTS = {
-    "spectrum_scan-max_rows": (lambda v: spectrum_scan(builtin_catalog(), 3, CTX, max_rows=v), "max_rows"),
+    "spectrum_scan-max_rows": (lambda v: spectrum_scan(Catalog(), 3, CTX, max_rows=v), "max_rows"),
     "best_rational_approximations-max_denominator": (
         lambda v: best_rational_approximations(Fraction(3, 2), max_denominator=v), "max_denominator"
     ),
@@ -87,6 +88,12 @@ def test_fractional_digits_count_toward_the_exponent(value):
     # the Decimal's own exponent is -10001 in each case
     with pytest.raises(CatalogError, match="exponent out of range"):
         ExactVolume.from_fields(remainder=value)
+
+
+def test_a_rational_past_the_int_digit_limit_is_refused_as_too_many_digits():
+    # int() refuses a 5000-digit numerator; the message names that, not the value
+    with pytest.raises(CatalogError, match="^c_oct: too many digits$"):
+        ExactVolume(c_oct="1" * 5000 + "/3")
 
 
 def test_exact_components_pass_straight_through():

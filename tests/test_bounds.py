@@ -15,7 +15,6 @@ from fal_spectrum import (
     DomainError,
     ExactVolume,
     WindowClass,
-    builtin_catalog,
     classify,
     euler_characteristic,
     max_augmentations_below,
@@ -217,7 +216,7 @@ def test_certificate_ladder_rungs_bracket_their_thresholds(capsys, monkeypatch):
 # spectrum scan
 
 def test_scan_builtin_budget_three(ctx):
-    rows = spectrum_scan(builtin_catalog(), 3, ctx)
+    rows = spectrum_scan(Catalog(), 3, ctx)
     assert [row.recipe for row in rows] == ["L41", "L41*2", "L41*3"]
     assert [row.vd.exact_parts()[0] for row in rows] == [
         Fraction(1),
@@ -228,19 +227,19 @@ def test_scan_builtin_budget_three(ctx):
 
 
 def test_scan_budget_one_lists_unit_atilde_entries(ctx):
-    cat = Catalog.from_links([make_link("S", c_tet=50, a=6)])
+    cat = Catalog([make_link("S", c_tet=50, a=6)])
     rows = spectrum_scan(cat, 1, ctx)
     assert [row.recipe for row in rows] == ["L41"]
 
 
 def test_scan_two_link_catalog_counts(ctx):
-    cat = Catalog.from_links([make_link("P", c_oct=4, a=3)])  # atilde 2 next to L41's 1
+    cat = Catalog([make_link("P", c_oct=4, a=3)])  # atilde 2 next to L41's 1
     rows = spectrum_scan(cat, 3, ctx)
     assert {row.recipe for row in rows} == {"L41", "L41,P", "L41*2", "L41*3", "P"}
 
 
 def test_scan_rows_sorted_and_bounded(ctx):
-    rows = spectrum_scan(builtin_catalog(), 20, ctx)
+    rows = spectrum_scan(Catalog(), 20, ctx)
     densities = [row.vd.evaluated for row in rows]
     assert densities == sorted(densities)
     assert all(d < two_v_oct(ctx) for d in densities)
@@ -254,19 +253,19 @@ def test_scan_rows_sorted_and_bounded(ctx):
 
 
 def test_scan_cap(ctx):
-    cat = Catalog.from_links([make_link("P", c_oct=4, a=3), make_link("Q", c_oct=6, a=4)])
+    cat = Catalog([make_link("P", c_oct=4, a=3), make_link("Q", c_oct=6, a=4)])
     with pytest.raises(CapExceededError, match="rows"):
         spectrum_scan(cat, 60, ctx, max_rows=10)
 
 
 def test_scan_rejects_bad_budget(ctx):
     with pytest.raises(DomainError):
-        spectrum_scan(builtin_catalog(), 0, ctx)
+        spectrum_scan(Catalog(), 0, ctx)
 
 
 def test_scan_deterministic(ctx):
-    first = spectrum_scan(builtin_catalog(), 12, ctx)
-    second = spectrum_scan(builtin_catalog(), 12, ctx)
+    first = spectrum_scan(Catalog(), 12, ctx)
+    second = spectrum_scan(Catalog(), 12, ctx)
     assert first == second
 
 
@@ -285,7 +284,7 @@ _SCAN_CATALOGS = {
 
 @pytest.mark.parametrize("name", sorted(_SCAN_CATALOGS))
 def test_scan_row_count_matches_knapsack_oracle(ctx, name):
-    cat = Catalog.from_links(_SCAN_CATALOGS[name])
+    cat = Catalog(_SCAN_CATALOGS[name])
     atildes = [link.atilde for link in cat]
     for budget in (1, 2, 3, 5, 8, 11):
         rows = spectrum_scan(cat, budget, ctx)
@@ -296,14 +295,14 @@ def test_scan_row_count_matches_knapsack_oracle(ctx, name):
 
 def test_scan_of_1200_link_catalog(ctx):
     links = [make_link(f"X{i:04d}", c_oct=2 * (2 + i % 5), a=3 + i % 5) for i in range(1200)]
-    cat = Catalog.from_links(links)
+    cat = Catalog(links)
     rows = spectrum_scan(cat, 2, ctx)
     assert len(rows) == count_scan_rows([link.atilde for link in cat], 2) == 242
 
 
 def test_scan_refusal_is_prompt_and_builds_no_row(ctx, monkeypatch):
     # about 1.07e10 multisets fit the budget; only cap+1 may be walked
-    cat = Catalog.from_links([make_link("A", c_oct=3, a=2), make_link("B", c_tet=9, a=2)])
+    cat = Catalog([make_link("A", c_oct=3, a=2), make_link("B", c_tet=9, a=2)])
     evaluated = []
     # spectrum_scan imports densities from calculus when it runs
     monkeypatch.setattr(calculus, "densities", lambda c, ctx: evaluated.append(c))

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fal_spectrum import (
+    Catalog,
     DomainError,
     belted_sum,
-    builtin_catalog,
     composition,
     format_recipe,
     parse_recipe,
@@ -107,7 +107,7 @@ def test_replication_identity_exact(ctx, l41):
 
 _link_pool = st.sampled_from(
     [
-        builtin_catalog()["L41"],
+        Catalog()["L41"],
         S50,
         make_link("T", c_oct="7/3", c_tet="1/2", a=4),
         make_link("U", c_oct=5, remainder="0.125", a=3),
@@ -217,7 +217,7 @@ def test_replicate_scales_counts(c, m):
 # recipe strings
 
 def test_recipe_round_trip(l41):
-    cat = builtin_catalog()
+    cat = Catalog()
     comp = parse_recipe("L41*3", cat)
     assert comp == self_sum(l41, 3)
     assert format_recipe(comp) == "L41*3"
@@ -230,7 +230,7 @@ def test_recipe_round_trip(l41):
 @pytest.mark.parametrize("text", ["", ",", "L41*", "L41*0", "L41*-1", "L41*x", "nope"])
 def test_bad_recipes_rejected(text):
     with pytest.raises(DomainError):
-        parse_recipe(text, builtin_catalog())
+        parse_recipe(text, Catalog())
 
 
 def test_composition_requires_parts():

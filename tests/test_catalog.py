@@ -12,7 +12,6 @@ from fal_spectrum import (
     CatalogError,
     Catalog,
     ExactVolume,
-    builtin_catalog,
     load_catalog,
     validate_entry,
     vd,
@@ -44,10 +43,21 @@ def test_load_single_entry_catalog():
     assert cat["L41"].augmentations == 2
 
 
-def test_builtin_present_unless_shadowed():
-    cat = load_catalog(json.dumps({"links": [{"name": "S", "c_tet": "50", "a": 6}]}))
-    assert {link.name for link in cat} == {"L41", "S"}
-    shadowed = load_catalog(json.dumps({"links": [{"name": "L41", "c_oct": "4", "a": 3}]}))
+# the two ways to build a catalog from entries, which must hold the same invariants
+BUILDERS = {
+    "load_catalog": lambda entries: load_catalog(json.dumps({"links": entries})),
+    "Catalog": lambda entries: Catalog(
+        [make_link(e["name"], e.get("c_oct", 0), e.get("c_tet", 0), a=e["a"]) for e in entries]
+    ),
+}
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=list(BUILDERS))
+def test_builtin_present_unless_shadowed(build):
+    assert build([]) == Catalog() and [link.name for link in Catalog()] == ["L41"]
+    cat = build([{"name": "S", "c_tet": "50", "a": 6}])
+    assert [link.name for link in cat] == ["L41", "S"]
+    shadowed = build([{"name": "L41", "c_oct": "4", "a": 3}])
     assert len(shadowed) == 1
     assert shadowed["L41"].volume.c_oct == 4
     assert shadowed["L41"].augmentations == 3
@@ -86,6 +96,7 @@ def test_synthetic_pure_tet_entry(ctx):
         {"name": "B", "a": 2, "remainder": "NaN"},  # non-finite decimal
         {"name": "A\n", "a": 2, "c_oct": "2"},  # trailing newline after an identifier
         {"name": "B", "a": True, "c_oct": "2"},  # a bool is not a count
+        {"name": "B", "a": 2, "c_oct": True},  # a bool is not a number
     ],
 )
 def test_invalid_entries_rejected(entry):
@@ -93,12 +104,16 @@ def test_invalid_entries_rejected(entry):
         load_catalog(json.dumps({"links": [entry]}))
 
 
-def test_duplicate_names_rejected():
-    doc = json.dumps(
-        {"links": [{"name": "B", "a": 2, "c_oct": "2"}, {"name": "B", "a": 3, "c_oct": "4"}]}
-    )
-    with pytest.raises(CatalogError, match="duplicate"):
-        load_catalog(doc)
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=list(BUILDERS))
+def test_duplicate_names_rejected(build):
+    with pytest.raises(CatalogError, match="duplicate link name 'B'"):
+        build([{"name": "B", "a": 2, "c_oct": "2"}, {"name": "B", "a": 3, "c_oct": "4"}])
+
+
+@pytest.mark.parametrize("item", ["L41", None, {"name": "B", "a": 2, "c_oct": "2"}])
+def test_catalog_refuses_what_is_not_a_link(item):
+    with pytest.raises(CatalogError, match=f"^catalog links must be BaseLink, got {type(item).__name__}$"):
+        Catalog([make_link("B", c_oct=2), item])
 
 
 @pytest.mark.parametrize("text", ["", "{", "[]", '{"links": 3}', "null"])
@@ -109,7 +124,7 @@ def test_malformed_documents_rejected(text):
 
 def test_unknown_link_lookup_lists_names():
     with pytest.raises(CatalogError, match="L41"):
-        builtin_catalog()["nope"]
+        Catalog()["nope"]
 
 
 def test_validate_builtin_is_clean(ctx, l41):
@@ -156,7 +171,7 @@ def test_save_load_round_trip():
 def test_save_refuses_remainder_without_finite_decimal():
     link = BaseLink(name="Third", volume=ExactVolume(c_oct=2, remainder="1/3"), augmentations=2, note="")
     with pytest.raises(CatalogError, match="remainder 1/3 has no finite decimal form"):
-        save_catalog(Catalog.from_links([link]))
+        save_catalog(Catalog([link]))
 
 
 _names = st.sampled_from(["A", "B2", "C_3", "Delta", "E"])
@@ -175,7 +190,7 @@ def _catalog_entries(draw):
         if c_oct == 0 and c_tet == 0 and Decimal(rem) == 0:
             c_oct = Fraction(1)
         links.append(make_link(name, c_oct=c_oct, c_tet=c_tet, remainder=rem, a=draw(st.integers(2, 9))))
-    return Catalog.from_links(links)
+    return Catalog(links)
 
 
 @given(_catalog_entries())

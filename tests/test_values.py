@@ -145,7 +145,10 @@ def test_composition_compares_on_parts_only():
 
 def test_catalog_compares_on_its_links():
     assert Catalog((_link(),)) == Catalog((_link(note="x"),))
-    assert "S10" in Catalog((_link(),)) and len(Catalog((_link(),))) == 1
+    catalog = Catalog((_link(),))
+    assert "S10" in catalog and len(catalog) == 2  # and the builtin L41
+    for twin in (copy.copy(catalog), copy.deepcopy(catalog), pickle.loads(pickle.dumps(catalog))):
+        assert [link.name for link in twin] == ["L41", "S10"] and twin["L41"] == catalog["L41"]
 
 
 def test_reprs_name_the_fields():
@@ -158,7 +161,7 @@ def test_reprs_name_the_fields():
         "BaseLink(name='S10', volume=ExactVolume(c_oct=Fraction(0, 1), c_tet=Fraction(0, 1), "
         "remainder=Fraction(50, 1)), augmentations=6, note='modified density ten')"
     )
-    assert repr(Catalog((link,))) == f"Catalog(links=({link!r},))"
+    assert repr(Catalog((link,))) == f"Catalog(links=({Catalog()['L41']!r}, {link!r}))"
     assert repr(Diagnostic("warning", "S10", "low")) == "Diagnostic(level='warning', link='S10', message='low')"
     assert repr(Certificate(Decimal("5.5"), 3, "s")) == (
         "Certificate(threshold=Decimal('5.5'), max_augmentations=3, statement='s')"
