@@ -69,9 +69,9 @@ counts as 0 at every precision, since whether 1, G and Cl_2(pi/3) are
 independent over Q is open.  The enclosure cache is safe for concurrent readers.
 
 Every number and count a caller passes in enters through ``parse_decimal``,
-``parse_rational`` or ``parse_count``: no floats, only finite numbers with
-an exponent of at most MAX_EXPONENT in magnitude, and counts that are ints
-(not bools) at or above a minimum.  Anything else is a DomainError.
+``parse_rational`` or ``parse_count``: no floats or bools, only finite
+numbers with an exponent of at most MAX_EXPONENT in magnitude, and counts
+that are ints at or above a minimum.  Anything else is a DomainError.
 """
 
 from __future__ import annotations
@@ -191,8 +191,8 @@ def _finite_decimal(value, what: str, noun: str) -> Decimal:
 
 def parse_decimal(value, what: str) -> Decimal:
     """``value`` as a finite Decimal whose exponent is at most MAX_EXPONENT in
-    magnitude, so Fraction(value) never builds a huge power of ten.  A float,
-    anything Decimal() cannot parse and a non-finite value are refused."""
+    magnitude, so Fraction(value) never builds a huge power of ten.  A float, a
+    bool, anything Decimal() cannot parse and a non-finite value are refused."""
     return _finite_decimal(value, what, "decimal string")
 
 
