@@ -8,10 +8,11 @@ class Frozen:
     and raises TypeError on any other count; a subclass that checks its
     arguments passes them on with ``super().__init__``.  Assigning or
     deleting a field raises AttributeError.  ``repr``, ``_key`` (unless a
-    subclass narrows it), copying and pickling read the fields without a
-    leading underscore, and a copy or an unpickle calls the subclass's
-    constructor with them, so its checks run again.  Equality compares
-    ``_key()`` within one class, and the hash is that tuple's.
+    subclass narrows it), copying and pickling read ``_fields()``, the
+    slots without a leading underscore unless a subclass names others, and
+    a copy or an unpickle calls the subclass's constructor with them, so
+    its checks run again.  Equality compares ``_key()`` within one class,
+    and the hash is that tuple's.
     """
 
     __slots__ = ()

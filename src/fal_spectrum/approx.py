@@ -39,21 +39,17 @@ the printed replication gap below eps/2.
 
 from __future__ import annotations
 
-import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from ._frozen import Frozen
-from .calculus import DensityValue, composition
+from .calculus import DensityValue, _common_denominator, composition
 from .catalog import BaseLink
 from .errors import CapExceededError, DegeneratePairError, DomainError, TargetRangeError
 from .numerics import _EXACT, PrecisionContext, correctly_rounded, parse_count, parse_decimal, parse_rational
 
 __all__ = [
-    "DEFAULT_MAX_DENOMINATOR",
-    "Recipe",
-    "approximate_vd",
-    "approximate_vd_mod",
+    "DEFAULT_MAX_DENOMINATOR", "Recipe", "approximate_vd", "approximate_vd_mod",
     "best_rational_approximations",
 ]
 
@@ -124,13 +120,11 @@ def best_rational_approximations(r, max_denominator: int = DEFAULT_MAX_DENOMINAT
 def _vd_mod_evaluator(link1: BaseLink, link2: BaseLink, ctx: PrecisionContext):
     """(k, l, scale=1) -> the evaluated vd_mod of k copies of link1 and l of
     link2 over ``scale``, from integer totals over one common denominator."""
-    parts = link1.volume.components() + link2.volume.components()
-    d = math.lcm(*(x.denominator for x in parts))
-    n = [x.numerator * (d // x.denominator) for x in parts]
+    d, (n1, n2) = _common_denominator((link1, link2))
     atilde1, atilde2 = link1.atilde, link2.atilde
 
     def value(k: int, l: int, scale: int = 1) -> Decimal:
-        totals = [k * n[i] + l * n[i + 3] for i in range(3)]
+        totals = [k * x + l * y for x, y in zip(n1, n2)]
         return correctly_rounded(*totals, d * (k * atilde1 + l * atilde2) * scale, ctx)
 
     return value
@@ -140,10 +134,11 @@ def _recipe(link1, link2, k: int, l: int, m: int, vdm: Decimal, target: Decimal,
     """m replications of (k copies of link1 + l of link2), one Composition
     built; ``vdm`` is the candidate's vd_mod, which replication keeps."""
     c = composition([(link, n * m) for link, n in ((link1, k), (link2, l)) if n])
-    vd = correctly_rounded(*c.volume.components(), c.atilde + 1, ctx)
+    v = c.volume
+    vd = correctly_rounded(v.oct, v.tet, v.rem, v.den * (c.atilde + 1), ctx)
     (nx, dx), (nt, dt) = (vd if mode == "vd" else vdm).as_integer_ratio(), target.as_integer_ratio()
     error = correctly_rounded(0, 0, abs(nx * dt - nt * dx), dx * dt, ctx)
-    achieved = DensityValue(c.volume, c.atilde, vdm), DensityValue(c.volume, c.atilde + 1, vd)
+    achieved = DensityValue(v, c.atilde, vdm), DensityValue(v, c.atilde + 1, vd)
     return Recipe(k, l, m, c, *achieved, error, mode)
 
 

@@ -18,8 +18,8 @@ multiset past its row cap: a refusal costs O(cap), not the full count.
 from __future__ import annotations
 
 import enum
+import itertools
 from decimal import Decimal
-from fractions import Fraction
 
 from . import numerics
 from ._frozen import Frozen
@@ -27,16 +27,8 @@ from .errors import CapExceededError, DomainError
 from .numerics import PrecisionContext
 
 __all__ = [
-    "Certificate",
-    "DEFAULT_SCAN_CAP",
-    "ScanRow",
-    "WindowClass",
-    "classify",
-    "euler_characteristic",
-    "max_augmentations_below",
-    "miyamoto_volume_lower_bound",
-    "spectrum_scan",
-    "vd_lower_bound",
+    "Certificate", "DEFAULT_SCAN_CAP", "ScanRow", "WindowClass", "classify", "euler_characteristic",
+    "max_augmentations_below", "miyamoto_volume_lower_bound", "spectrum_scan", "vd_lower_bound",
 ]
 
 DEFAULT_SCAN_CAP = 100_000
@@ -74,24 +66,25 @@ def vd_lower_bound(a: int, ctx: PrecisionContext) -> Decimal:
     return numerics.correctly_rounded(2 * (a - 1), 0, 0, a, ctx)
 
 
-def _density_parts(value, ctx: PrecisionContext) -> tuple[tuple[Fraction, Fraction, Fraction], Fraction]:
-    """A density input's exact (c_oct, c_tet, remainder) parts and its slack:
-    0 for an exact input, the context tolerance for a decimal one."""
+def _density_parts(value, ctx: PrecisionContext) -> tuple[tuple[int, int, int], int, int]:
+    """(parts, slack, den): a density input's exact (c_oct, c_tet, remainder)
+    and its slack as ints over den, the slack 0 for an exact input and the
+    context tolerance for a decimal one."""
     if not isinstance(value, (str, int, Decimal)):  # imported here, so a decimal loads neither layer
         from .calculus import DensityValue
         from .catalog import ExactVolume
 
-        if isinstance(value, DensityValue):
-            return value.exact_parts(), Fraction(0)
+        value, scale = (value.numerator, value.denominator) if isinstance(value, DensityValue) else (value, 1)
         if isinstance(value, ExactVolume):
-            return value.components(), Fraction(0)
-    density = Fraction(numerics.parse_decimal(value, "density"))
-    return (Fraction(0), Fraction(0), density), Fraction(ctx.comparison_tolerance)
+            return (value.oct, value.tet, value.rem), 0, value.den * scale
+    n, d = numerics.parse_decimal(value, "density").as_integer_ratio()
+    tol_n, tol_d = ctx.comparison_tolerance.as_integer_ratio()
+    return (0, 0, n * tol_d), tol_n * d, d * tol_d
 
 
-def _below(parts, slack: Fraction, oct_coeff: int, tet_coeff: int, ctx: PrecisionContext) -> bool:
-    """Whether parts + slack lies below oct_coeff*v_oct + tet_coeff*v_tet, by a proven sign."""
-    return numerics.sign(parts[0] - oct_coeff, parts[1] - tet_coeff, parts[2] + slack, ctx) < 0
+def _below(parts, slack: int, den: int, oct_coeff: int, tet_coeff: int, ctx: PrecisionContext) -> bool:
+    """Whether (parts + slack)/den lies below oct_coeff*v_oct + tet_coeff*v_tet, by a proven sign."""
+    return numerics.sign(parts[0] - oct_coeff * den, parts[1] - tet_coeff * den, parts[2] + slack, ctx) < 0
 
 
 def classify(density, ctx: PrecisionContext) -> WindowClass:
@@ -102,12 +95,12 @@ def classify(density, ctx: PrecisionContext) -> WindowClass:
     decided by ``numerics.sign``: exactly for exact inputs (up to its cap),
     and for a decimal with the context tolerance added, so a decimal within
     the tolerance below a boundary counts as sitting on it."""
-    parts, slack = _density_parts(density, ctx)
-    if _below(parts, slack, 1, 0, ctx):
+    parts, slack, den = _density_parts(density, ctx)
+    if _below(parts, slack, den, 1, 0, ctx):
         return WindowClass.BELOW_SPECTRUM
-    if _below(parts, slack, 2, 0, ctx):
+    if _below(parts, slack, den, 2, 0, ctx):
         return WindowClass.DISCRETE_WINDOW
-    if _below(parts, slack, 0, 10, ctx):
+    if _below(parts, slack, den, 0, 10, ctx):
         return WindowClass.DENSE_WINDOW
     return WindowClass.AT_OR_ABOVE_UPPER_BOUND
 
@@ -119,15 +112,15 @@ def max_augmentations_below(density, ctx: PrecisionContext) -> Certificate:
     exactly; any link with more augmentations has density strictly above t,
     and only finitely many links exist per augmentation count.  A decimal t
     is widened by the context tolerance, as in ``classify``."""
-    parts, slack = _density_parts(density, ctx)
-    if _below(parts, slack, 1, 0, ctx):
+    parts, slack, den = _density_parts(density, ctx)
+    if _below(parts, slack, den, 1, 0, ctx):
         raise DomainError("threshold lies below the spectrum floor v_oct; nothing to certify")
-    if not _below(parts, slack, 2, 0, ctx):
+    if not _below(parts, slack, den, 2, 0, ctx):
         raise DomainError(
             "threshold reaches the dense window at 2*v_oct; no finite certificate exists there"
         )
-    n = numerics.floor_quotient((2, 0, 0), (2 - parts[0], -parts[1], -parts[2] - slack), ctx)
-    threshold = numerics.correctly_rounded(*parts, 1, ctx)
+    n = numerics.floor_quotient((2 * den, 0, 0), (2 * den - parts[0], -parts[1], -parts[2] - slack), ctx)
+    threshold = numerics.correctly_rounded(*parts, den, ctx)
     return Certificate(threshold, n, f"every FAL with vd(L) <= {threshold} has a(L) <= {n}")
 
 
@@ -135,25 +128,28 @@ class ScanRow(Frozen):
     __slots__ = ("recipe", "a", "atilde", "vd", "vd_mod")
 
 
-def _multisets(catalog: Catalog, budget: int):
-    """Yield each nonempty multiset with sum k*atilde <= budget once, as a
-    tuple of (link, k) parts with k >= 1.
+def _multisets(links: list[tuple[str, int, int, int, int]], budget: int):
+    """Yield (recipe, atilde, oct, tet, rem) once for each nonempty multiset
+    with total atilde <= budget, of links given as (name, atilde, oct, tet,
+    rem) in catalog order: its recipe string and its int totals.
 
     Depth-first over an explicit stack: a multiset extends only with links
-    after its last part, taken in increasing atilde so the first link that
-    no longer fits ends the extension."""
-    links = sorted(catalog, key=lambda link: link.atilde)
-    stack = [((), 0, budget)]
+    after its last part, so its recipe string grows by appending, and the
+    least atilde among the links left ends an extension once none fits."""
+    least = [*itertools.accumulate((step for _, step, *_ in reversed(links)), min)][::-1] + [budget + 1]
+    stack = [(0, "", 0, 0, 0, 0)]  # next link, then recipe, atilde, oct, tet, rem
     while stack:
-        parts, start, remaining = stack.pop()
+        start, recipe, used, oct, tet, rem = stack.pop()
+        prefix = recipe + "," if recipe else ""
         for index in range(start, len(links)):
-            link = links[index]
-            if link.atilde > remaining:
+            if least[index] > budget - used:
                 break
-            for k in range(1, remaining // link.atilde + 1):
-                extended = parts + ((link, k),)
-                yield extended
-                stack.append((extended, index + 1, remaining - k * link.atilde))
+            name, step, l_oct, l_tet, l_rem = links[index]
+            for k in range(1, (budget - used) // step + 1):
+                row = (prefix + (name if k == 1 else f"{name}*{k}"), used + k * step,
+                       oct + k * l_oct, tet + k * l_tet, rem + k * l_rem)
+                yield row
+                stack.append((index + 1, *row))
 
 
 def spectrum_scan(
@@ -166,22 +162,25 @@ def spectrum_scan(
     one row each, sorted by vd (ties broken by recipe string).
 
     Raises CapExceededError as soon as a row past ``max_rows`` turns up,
-    before any row is evaluated."""
-    from .calculus import composition, densities, format_recipe
+    before any row is evaluated.  Each row comes from the walk's int totals
+    over the catalog's common denominator, with no Composition built."""
+    from . import calculus
+    from .catalog import ExactVolume
 
     numerics.parse_count(budget, "budget")
     numerics.parse_count(max_rows, "max_rows")
+    den, volumes = calculus._common_denominator(catalog)
+    links = [(link.name, link.atilde, *v) for link, v in zip(catalog, volumes)]
     multisets = []
-    for parts in _multisets(catalog, budget):
+    for item in _multisets(links, budget):
         if len(multisets) == max_rows:
             raise CapExceededError(
                 f"scan with budget {budget} would emit more than {max_rows} rows (the cap)"
             )
-        multisets.append(parts)
+        multisets.append(item)
     rows = []
-    for parts in multisets:
-        c = composition(parts)
-        row_vd, row_vd_mod = densities(c, ctx)
-        rows.append(ScanRow(format_recipe(c), c.atilde + 1, c.atilde, row_vd, row_vd_mod))
+    for recipe, atilde, oct, tet, rem in multisets:
+        row_vd, row_vd_mod = calculus._density_pair(ExactVolume.over(oct, tet, rem, den), atilde, ctx)
+        rows.append(ScanRow(recipe, atilde + 1, atilde, row_vd, row_vd_mod))
     rows.sort(key=lambda row: (row.vd.evaluated, row.recipe))
     return rows

@@ -16,11 +16,14 @@ For a composition c with volume vol(c) and augmentation count a(c):
 Both carry an exact form (an ExactVolume numerator over an integer
 denominator) next to their evaluated decimal, so identities such as the
 invariance of vd_mod under self-sums hold with zero tolerance whenever
-the inputs are exact.
+the inputs are exact.  All of it is int arithmetic: the parts' volumes
+are put over one common denominator D, the totals are int sums over D,
+and a density is those totals over D*a or D*(a-1).
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping
 from decimal import Decimal
 from fractions import Fraction
@@ -32,19 +35,8 @@ from .errors import DomainError
 from .numerics import PrecisionContext
 
 __all__ = [
-    "Composition",
-    "DensityValue",
-    "belted_sum",
-    "composition",
-    "densities",
-    "exact_combo_string",
-    "format_recipe",
-    "parse_recipe",
-    "replicate",
-    "replication_error",
-    "self_sum",
-    "vd",
-    "vd_mod",
+    "Composition", "DensityValue", "belted_sum", "composition", "densities", "exact_combo_string",
+    "format_recipe", "parse_recipe", "replicate", "replication_error", "self_sum", "vd", "vd_mod",
     "volume",
 ]
 
@@ -63,25 +55,26 @@ class Composition(Frozen):
 def composition(parts: Mapping[BaseLink, int] | Iterable[tuple[BaseLink, int]]) -> Composition:
     items = parts.items() if isinstance(parts, Mapping) else parts
     merged: dict[BaseLink, int] = {}
-    c_oct = c_tet = remainder = Fraction(0)
-    atilde = 0
     for link, multiplicity in items:
         if not isinstance(link, BaseLink):
             raise DomainError(f"composition parts must be BaseLink, got {type(link).__name__}")
         numerics.parse_count(multiplicity, f"multiplicity for {link.name}")
         merged[link] = merged.get(link, 0) + multiplicity
-        part = link.volume
-        if part.c_oct:
-            c_oct += part.c_oct * multiplicity
-        if part.c_tet:
-            c_tet += part.c_tet * multiplicity
-        if part.remainder:
-            remainder += part.remainder * multiplicity
-        atilde += link.atilde * multiplicity
     if not merged:
         raise DomainError("a composition needs at least one part")
+    den, volumes = _common_denominator(merged)
+    totals = [sum(k * v[i] for k, v in zip(merged.values(), volumes)) for i in range(3)]
+    atilde = sum(link.atilde * k for link, k in merged.items())
     ordered = tuple(sorted(merged.items(), key=lambda item: item[0].sort_key()))
-    return Composition(ordered, ExactVolume(c_oct, c_tet, remainder), atilde)
+    return Composition(ordered, ExactVolume.over(*totals, den), atilde)
+
+
+def _common_denominator(links: Iterable[BaseLink]) -> tuple[int, list[tuple[int, int, int]]]:
+    """(D, ints): the least common denominator D of the links' volumes and
+    each volume's (oct, tet, rem) over D, in the links' order."""
+    volumes = [link.volume for link in links]
+    den = math.lcm(*(v.den for v in volumes))
+    return den, [(v.oct * (den // v.den), v.tet * (den // v.den), v.rem * (den // v.den)) for v in volumes]
 
 
 def belted_sum(x: Composition, y: Composition) -> Composition:
@@ -113,24 +106,23 @@ class DensityValue(Frozen):
 
     def exact_parts(self) -> tuple[Fraction, Fraction, Fraction]:
         """(c_oct, c_tet, remainder) of the density itself, exact."""
-        d = self.denominator
         n = self.numerator
-        return (n.c_oct / d, n.c_tet / d, n.remainder / d)
+        d = n.den * self.denominator
+        return (Fraction(n.oct, d), Fraction(n.tet, d), Fraction(n.rem, d))
 
     def exact_string(self, ctx: PrecisionContext) -> str:
-        oct_part, tet_part, rem_part = self.exact_parts()
-        return exact_combo_string(oct_part, tet_part, rem_part, ctx)
+        n = self.numerator
+        return exact_combo_string(n.oct, n.tet, n.rem, n.den * self.denominator, ctx)
 
 
-def exact_combo_string(
-    c_oct: Fraction, c_tet: Fraction, remainder: Fraction, ctx: PrecisionContext
-) -> str:
-    """Render "p/q*voct+r/s*vtet+rem"; the remainder is exact when it has a
-    finite decimal form and correctly rounded otherwise."""
-    rem = numerics.exact_decimal_string(remainder)
-    if rem is None:
-        rem = str(numerics.correctly_rounded(0, 0, remainder, 1, ctx))
-    return f"{numerics.rational_string(c_oct)}*voct+{numerics.rational_string(c_tet)}*vtet+{rem}"
+def exact_combo_string(oct: int, tet: int, rem: int, den: int, ctx: PrecisionContext) -> str:
+    """Render (oct*v_oct + tet*v_tet + rem)/den, ints over a positive den, as
+    "p/q*voct+r/s*vtet+rem", each rational in lowest terms; the remainder is
+    exact when it has a finite decimal form and correctly rounded otherwise."""
+    text = numerics.exact_decimal_string(rem, den)
+    if text is None:
+        text = str(numerics.correctly_rounded(0, 0, rem, den, ctx))
+    return f"{numerics.rational_string(oct, den)}*voct+{numerics.rational_string(tet, den)}*vtet+{text}"
 
 
 def vd(c: Composition, ctx: PrecisionContext) -> DensityValue:
@@ -145,17 +137,23 @@ def vd_mod(c: Composition, ctx: PrecisionContext) -> DensityValue:
 
 def densities(c: Composition, ctx: PrecisionContext) -> tuple[DensityValue, DensityValue]:
     """(vd(c), vd_mod(c)), each correctly rounded."""
-    parts = c.volume.components()
-    return tuple(
-        DensityValue(c.volume, den, numerics.correctly_rounded(*parts, den, ctx))
-        for den in (c.atilde + 1, c.atilde)
+    return _density_pair(c.volume, c.atilde, ctx)
+
+
+def _density_pair(volume: ExactVolume, atilde: int, ctx: PrecisionContext) -> tuple[DensityValue, DensityValue]:
+    """(vol/(atilde+1), vol/atilde), each correctly rounded from the volume's ints."""
+    oct, tet, rem, den = volume.oct, volume.tet, volume.rem, volume.den
+    return (
+        DensityValue(volume, atilde + 1, numerics.correctly_rounded(oct, tet, rem, den * (atilde + 1), ctx)),
+        DensityValue(volume, atilde, numerics.correctly_rounded(oct, tet, rem, den * atilde, ctx)),
     )
 
 
 def replication_error(c: Composition, m: int, ctx: PrecisionContext) -> Decimal:
     """Exact gap vd_mod(c^(m)) - vd(c^(m)) = vd_mod(c) / (m * (a-1) + 1)."""
     numerics.parse_count(m, "replication count")
-    return numerics.correctly_rounded(*c.volume.components(), c.atilde * (m * c.atilde + 1), ctx)
+    v = c.volume
+    return numerics.correctly_rounded(v.oct, v.tet, v.rem, v.den * c.atilde * (m * c.atilde + 1), ctx)
 
 
 # ---------------------------------------------------------------------------

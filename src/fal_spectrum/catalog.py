@@ -12,6 +12,7 @@ Missing c_oct/c_tet/remainder default to "0".
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Iterable, Iterator
 from decimal import Decimal
@@ -23,12 +24,7 @@ from .errors import CatalogError, DomainError
 from .numerics import PrecisionContext
 
 __all__ = [
-    "BaseLink",
-    "Catalog",
-    "Diagnostic",
-    "ExactVolume",
-    "load_catalog",
-    "validate_entry",
+    "BaseLink", "Catalog", "Diagnostic", "ExactVolume", "load_catalog", "validate_entry",
 ]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -46,50 +42,67 @@ class ExactVolume(Frozen):
     """A volume c_oct*v_oct + c_tet*v_tet + remainder with exact components.
 
     The remainder carries any part of the volume that is not a rational
-    multiple of the two base constants; it is stored as the exact rational
-    value of its decimal form, so sums and integer multiples stay exact.
-    All components are nonnegative.
+    multiple of the two base constants, as the exact value of its decimal
+    form.  All components are nonnegative.  The volume is held as ints
+    (oct*v_oct + tet*v_tet + rem)/den in lowest terms, so equal volumes hold
+    equal ints; ``c_oct``, ``c_tet`` and ``remainder`` read Fractions.
     """
 
-    __slots__ = ("c_oct", "c_tet", "remainder")
+    __slots__ = ("oct", "tet", "rem", "den", "_parts")
 
     def __init__(self, c_oct=Fraction(0), c_tet=Fraction(0), remainder=Fraction(0)) -> None:
-        components = []
+        parts = []
         for name, value in (("c_oct", c_oct), ("c_tet", c_tet), ("remainder", remainder)):
             value = _parsed(numerics.parse_rational, value, name)
             if value < 0:
                 raise CatalogError(f"{name} must be nonnegative, got {value}")
-            components.append(value)
-        super().__init__(*components)
+            parts.append(value)
+        super().__init__(*numerics._integers(*parts), tuple(parts))  # lcm: in lowest terms
+
+    @classmethod
+    def over(cls, oct: int, tet: int, rem: int, den: int) -> "ExactVolume":
+        """(oct*v_oct + tet*v_tet + rem)/den from nonnegative ints, unchecked, by one gcd."""
+        g = math.gcd(oct, tet, rem, den)
+        volume = object.__new__(cls)
+        Frozen.__init__(volume, oct // g, tet // g, rem // g, den // g, None)
+        return volume
 
     @classmethod
     def from_fields(cls, c_oct="0", c_tet="0", remainder="0") -> "ExactVolume":
         """Build from the file-format fields (rationals as "p/q", decimal remainder)."""
         return cls(c_oct, c_tet, Fraction(_parsed(numerics.parse_decimal, remainder, "remainder")))
 
+    def _fields(self) -> list[str]:
+        return ["c_oct", "c_tet", "remainder"]
+
+    def _key(self) -> tuple:
+        return (self.oct, self.tet, self.rem, self.den)
+
     def is_zero(self) -> bool:
-        return not (self.c_oct or self.c_tet or self.remainder)
+        return not (self.oct or self.tet or self.rem)
 
     def components(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.c_oct, self.c_tet, self.remainder)
+        if self._parts is None:  # made once per volume
+            object.__setattr__(self, "_parts", tuple(Fraction(n, self.den) for n in (self.oct, self.tet, self.rem)))
+        return self._parts
+
+    c_oct = property(lambda self: self.components()[0])
+    c_tet = property(lambda self: self.components()[1])
+    remainder = property(lambda self: self.components()[2])
 
     def __add__(self, other: "ExactVolume") -> "ExactVolume":
         if not isinstance(other, ExactVolume):
             return NotImplemented
-        return ExactVolume(
-            self.c_oct + other.c_oct,
-            self.c_tet + other.c_tet,
-            self.remainder + other.remainder,
-        )
+        return ExactVolume(*(x + y for x, y in zip(self.components(), other.components())))
 
     def __mul__(self, scalar) -> "ExactVolume":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return ExactVolume(self.c_oct * scalar, self.c_tet * scalar, self.remainder * scalar)
+        return ExactVolume(*(part * scalar for part in self.components()))
 
     def evaluate(self, ctx: PrecisionContext) -> Decimal:
         """The volume correctly rounded to ``ctx.digits``."""
-        return numerics.correctly_rounded(self.c_oct, self.c_tet, self.remainder, 1, ctx)
+        return numerics.correctly_rounded(self.oct, self.tet, self.rem, self.den, ctx)
 
 
 class BaseLink(Frozen):
@@ -136,13 +149,16 @@ _L41 = BaseLink(
 class Catalog(Frozen):
     """Immutable name-indexed collection of base links, compared by its links.
 
-    ``Catalog(links)`` refuses a non-BaseLink and a repeated name, adds L41
-    unless a link takes its name, and sorts by ``BaseLink.sort_key``.
+    ``Catalog(links)`` refuses links that are not iterable, a non-BaseLink and
+    a repeated name, adds L41 unless a link takes its name, and sorts by
+    ``BaseLink.sort_key``.
     ``Catalog()`` is the builtin catalog; a copy or an unpickle is checked alike."""
 
     __slots__ = ("links", "_by_name")
 
     def __init__(self, links: Iterable[BaseLink] = ()) -> None:
+        if not isinstance(links, Iterable):
+            raise CatalogError(f"catalog links must be an iterable of BaseLink, got {type(links).__name__}")
         by_name: dict[str, BaseLink] = {}
         for link in links:
             if not isinstance(link, BaseLink):
@@ -240,13 +256,13 @@ def validate_entry(link: BaseLink, ctx: PrecisionContext) -> list[Diagnostic]:
     are allowed so the search engine can be exercised across the whole
     window.
     """
-    a, (c_oct, c_tet, remainder) = link.augmentations, link.volume.components()
+    a, v = link.augmentations, link.volume
     failed = (
-        numerics.sign(c_oct - a, c_tet, remainder, ctx) < 0,
-        numerics.sign(c_oct, c_tet - 10 * a, remainder, ctx) >= 0,
-        numerics.sign(c_oct - 2 * (a - 1), c_tet, remainder, ctx) < 0,
+        numerics.sign(v.oct - a * v.den, v.tet, v.rem, ctx) < 0,
+        numerics.sign(v.oct, v.tet - 10 * a * v.den, v.rem, ctx) >= 0,
+        numerics.sign(v.oct - 2 * (a - 1) * v.den, v.tet, v.rem, ctx) < 0,
     )
-    vd = numerics.correctly_rounded(c_oct, c_tet, remainder, a, ctx)
+    vd = numerics.correctly_rounded(v.oct, v.tet, v.rem, a * v.den, ctx)
     messages = (
         f"vd = {vd} lies below the spectrum floor v_oct",
         f"vd = {vd} is at or above 10*v_tet, which no fully augmented link attains",

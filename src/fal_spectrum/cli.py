@@ -189,11 +189,12 @@ def _cmd_catalog_list(args, ctx: PrecisionContext) -> str:
     rows = []
     for link in cat:
         density, density_mod = calculus.densities(calculus.self_sum(link, 1), ctx)
+        v = link.volume
         rows.append(
             [
                 link.name,
                 str(link.augmentations),
-                calculus.exact_combo_string(*link.volume.components(), ctx),
+                calculus.exact_combo_string(v.oct, v.tet, v.rem, v.den, ctx),
                 str(link.volume.evaluate(ctx)),
                 str(density.evaluated),
                 str(density_mod.evaluated),
@@ -222,9 +223,10 @@ def _cmd_density(args, ctx: PrecisionContext) -> str:
     cat = _load_catalog(args.file)
     comp = calculus.parse_recipe(args.recipe, cat)
     density, density_mod = calculus.densities(comp, ctx)
+    v = comp.volume
     pairs = [
         ("recipe", calculus.format_recipe(comp)),
-        ("vol_exact", calculus.exact_combo_string(*comp.volume.components(), ctx)),
+        ("vol_exact", calculus.exact_combo_string(v.oct, v.tet, v.rem, v.den, ctx)),
         ("vol_decimal", str(comp.volume.evaluate(ctx))),
         ("a", numerics.rational_string(comp.atilde + 1)),
         ("atilde", numerics.rational_string(comp.atilde)),

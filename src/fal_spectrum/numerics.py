@@ -58,12 +58,13 @@ Tangent and Secant numbers", arXiv:1108.0286).  Terms shrink by about
 not use it, so 8*Lambda(pi/4) and 2*Lambda(pi/6) are an independent check
 on them.
 
-Every printed decimal is a value (c_oct*v_oct + c_tet*v_tet + r)/den with
-exact rationals c_oct, c_tet, r and an integer den, and its one evaluator,
-``correctly_rounded``, encloses it between integers from the constants'
-enclosures and settles it by Ziv's test: the correctly rounded value with
-exactly ``digits`` significant digits.  Every window decision is the sign
-of such a value, which ``sign`` proves by doubling the guard digits until
+Every printed decimal is a value (a*v_oct + b*v_tet + r)/den with ints a,
+b, r and a positive int den (a caller holding rationals puts them over one
+denominator first), and its one evaluator, ``correctly_rounded``, encloses
+it between integers from the constants' enclosures and settles it by Ziv's
+test: the correctly rounded value with exactly ``digits`` significant
+digits.  Every window decision is the sign of such a value, which ``sign``
+proves by doubling the guard digits until
 the enclosure excludes 0; a value not separated at the scale 2*MAX_DIGITS
 counts as 0 at every precision, since whether 1, G and Cl_2(pi/3) are
 independent over Q is open.  The enclosure cache is safe for concurrent readers.
@@ -87,29 +88,11 @@ from ._frozen import Frozen
 from .errors import ConfigurationError, DomainError
 
 __all__ = [
-    "DEFAULT_DIGITS",
-    "GUARD_DIGITS",
-    "MAX_DIGITS",
-    "MAX_EXPONENT",
-    "MIN_DIGITS",
-    "PrecisionContext",
-    "combination",
-    "correctly_rounded",
-    "exact_decimal_string",
-    "floor_quotient",
-    "fraction_to_decimal",
-    "lobachevsky",
-    "parse_count",
-    "parse_decimal",
-    "parse_rational",
-    "pi",
-    "rational_string",
-    "round_to",
-    "sign",
-    "ten_v_tet",
-    "two_v_oct",
-    "v_oct",
-    "v_tet",
+    "DEFAULT_DIGITS", "GUARD_DIGITS", "MAX_DIGITS", "MAX_EXPONENT", "MIN_DIGITS",
+    "PrecisionContext", "combination", "correctly_rounded", "exact_decimal_string",
+    "floor_quotient", "fraction_to_decimal", "lobachevsky", "parse_count", "parse_decimal",
+    "parse_rational", "pi", "rational_string", "round_to", "sign", "ten_v_tet", "two_v_oct",
+    "v_oct", "v_tet",
 ]
 
 DEFAULT_DIGITS = 30
@@ -173,6 +156,13 @@ def _context(prec: int) -> Context:
 # ---------------------------------------------------------------------------
 # The input boundary: every number and count a caller passes in
 
+def _shown(value) -> str:
+    """repr(value), a string past 40 characters cut to its first 40 and its length."""
+    if isinstance(value, str) and len(value) > 40:
+        return f"{value[:40]!r}… ({len(value)} characters)"
+    return repr(value)
+
+
 def _finite_decimal(value, what: str, noun: str) -> Decimal:
     if isinstance(value, bool):
         raise DomainError(f"{what}: booleans are not accepted: {value!r}")
@@ -183,7 +173,7 @@ def _finite_decimal(value, what: str, noun: str) -> Decimal:
     except (InvalidOperation, ValueError, TypeError):
         number = None
     if number is None or not number.is_finite():
-        raise DomainError(f"{what}: not a valid {noun}: {value!r}")
+        raise DomainError(f"{what}: not a valid {noun}: {_shown(value)}")
     if abs(number.as_tuple().exponent) > MAX_EXPONENT:
         raise DomainError(f"{what}: exponent out of range (at most {MAX_EXPONENT} in magnitude)")
     return number
@@ -216,14 +206,14 @@ def parse_rational(value, what: str) -> Fraction:
                 pass
             else:
                 raise DomainError(f"{what}: too many digits") from None
-        raise DomainError(f"{what}: not a valid rational: {value!r}") from None
+        raise DomainError(f"{what}: not a valid rational: {_shown(value)}") from None
     return Fraction(_finite_decimal(value, what, "rational"))
 
 
 def parse_count(value, what: str, minimum: int = 1) -> int:
     """``value`` if it is an int (not a bool) of at least ``minimum``."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
+        raise DomainError(f"{what} must be an integer, got {_shown(value)}")
     if value < minimum:
         raise DomainError(f"{what} must be at least {minimum}, got {value}")
     return value
@@ -388,7 +378,7 @@ def lobachevsky(theta: Decimal, ctx: PrecisionContext) -> Decimal:
 # The two volume constants
 
 def _integers(c_oct, c_tet, remainder) -> tuple[int, int, int, int]:
-    """(a, b, r, common): the components as ints over their least common denominator."""
+    """(a, b, r, common): rational components as ints over their least common denominator."""
     common = math.lcm(c_oct.denominator, c_tet.denominator, remainder.denominator)
     a, b, r = [x.numerator * (common // x.denominator) for x in (c_oct, c_tet, remainder)]
     return a, b, r, common
@@ -404,16 +394,13 @@ def _enclose(a: int, b: int, r: int, frac: int) -> tuple[int, int]:
     return low, high
 
 
-def correctly_rounded(c_oct, c_tet, remainder, den: int, ctx: PrecisionContext) -> Decimal:
-    """(c_oct*v_oct + c_tet*v_tet + remainder)/den correctly rounded to
-    ``ctx.digits`` significant digits, all of them kept; the components are
-    signed ints or Fractions, ``den`` a positive int.  An exact zero (every
-    component 0) has no significant digits and is Decimal(0), printed "0",
-    at every precision."""
-    a, b, r, common = _integers(c_oct, c_tet, remainder)
+def correctly_rounded(a: int, b: int, r: int, den: int, ctx: PrecisionContext) -> Decimal:
+    """(a*v_oct + b*v_tet + r)/den correctly rounded to ``ctx.digits``
+    significant digits, all of them kept, for signed ints a, b, r and a
+    positive int den.  An exact zero (a = b = r = 0) has no significant
+    digits and is Decimal(0), printed "0", at every precision."""
     if not (a or b or r):
         return Decimal(0)
-    den *= common
     # v_oct < 4 and v_tet < 2 put the value near 10**shift (log10(2) = 0.30103),
     # so the sum at scale frac over 10**shift keeps about working_prec + guard digits
     shift = ((4 * abs(a) + abs(b) + abs(r)).bit_length() - den.bit_length()) * 30103 // 100000
@@ -429,14 +416,13 @@ def correctly_rounded(c_oct, c_tet, remainder, den: int, ctx: PrecisionContext) 
         guard *= 2
 
 
-def sign(c_oct, c_tet, remainder, ctx: PrecisionContext) -> int:
-    """The sign, -1, 0 or 1, of c_oct*v_oct + c_tet*v_tet + remainder (signed
-    ints or Fractions), proven: the guard digits double until the enclosure
-    excludes 0, and with c_oct = c_tet = 0 it is exact at once.  A true zero
-    with a constant in it cannot be ruled out (whether 1, G and Cl_2(pi/3) are
-    independent over Q is open), so a value not separated from 0 at the scale
-    2*MAX_DIGITS, which is the same at every precision, counts as 0."""
-    a, b, r, _ = _integers(c_oct, c_tet, remainder)
+def sign(a: int, b: int, r: int, ctx: PrecisionContext) -> int:
+    """The sign, -1, 0 or 1, of a*v_oct + b*v_tet + r for signed ints a, b,
+    r, proven: the guard digits double until the enclosure excludes 0, and
+    with a = b = 0 it is exact at once.  A true zero with a constant in it
+    cannot be ruled out (whether 1, G and Cl_2(pi/3) are independent over Q
+    is open), so a value not separated from 0 at the scale 2*MAX_DIGITS,
+    which is the same at every precision, counts as 0."""
     guard = _GUARD
     while True:
         frac = min(ctx.working_prec + guard, 2 * MAX_DIGITS)
@@ -447,18 +433,16 @@ def sign(c_oct, c_tet, remainder, ctx: PrecisionContext) -> int:
 
 
 def floor_quotient(num, den, ctx: PrecisionContext) -> int:
-    """floor(x/y) for positive x and y, each a (c_oct, c_tet, remainder) triple
-    as ``sign`` takes it.  The quotient is enclosed until its floor is k or
+    """floor(x/y) for positive x and y, each an int triple (a, b, r) as
+    ``sign`` takes it.  The quotient is enclosed until its floor is k or
     k + 1, and the sign of x - (k+1)*y picks one (a 0 under ``sign``'s cap
     picks k + 1)."""
-    a, b, r, p = _integers(*num)
-    c, d, s, q = _integers(*den)  # x/y = X*q / (Y*p) for X, Y the integer combinations
     guard = _GUARD
     while True:
         frac = ctx.working_prec + guard
-        (x_lo, x_hi), (y_lo, y_hi) = _enclose(a, b, r, frac), _enclose(c, d, s, frac)
+        (x_lo, x_hi), (y_lo, y_hi) = _enclose(*num, frac), _enclose(*den, frac)
         if y_lo > 0:
-            k, k_hi = x_lo * q // (y_hi * p), x_hi * q // (y_lo * p)
+            k, k_hi = x_lo // y_hi, x_hi // y_lo
             if k_hi <= k + 1:
                 return k if k_hi == k else k + (sign(*(u - k_hi * v for u, v in zip(num, den)), ctx) >= 0)
         guard *= 2
@@ -499,28 +483,31 @@ def fraction_to_decimal(value: Fraction, ctx: PrecisionContext) -> Decimal:
 
 
 def combination(c_oct: Fraction, c_tet: Fraction, remainder: Fraction, ctx: PrecisionContext) -> Decimal:
-    """c_oct*v_oct + c_tet*v_tet + remainder (coefficients may be signed)
+    """c_oct*v_oct + c_tet*v_tet + remainder (rationals, may be signed)
     correctly rounded to ``ctx.digits``."""
-    return correctly_rounded(c_oct, c_tet, remainder, 1, ctx)
+    return correctly_rounded(*_integers(c_oct, c_tet, remainder), ctx)
 
 
-def exact_decimal_string(value: Fraction) -> str | None:
-    """Render a rational as its exact finite decimal, or None if it has none."""
+def exact_decimal_string(numerator: int, denominator: int) -> str | None:
+    """Render numerator/denominator (ints, denominator positive) as its exact
+    finite decimal, or None if it has none."""
     # a denominator 2**i * 5**j divides 10**shift, as its bit length is at least max(i, j)
-    shift = value.denominator.bit_length()
-    scaled, rest = divmod(abs(value.numerator) * 10**shift, value.denominator)
+    shift = denominator.bit_length()
+    scaled, rest = divmod(abs(numerator) * 10**shift, denominator)
     if rest:
         return None
     digits = rational_string(scaled).rjust(shift + 1, "0")
     whole, fraction = digits[:-shift], digits[-shift:].rstrip("0")
-    return ("-" if value.numerator < 0 else "") + (f"{whole}.{fraction}" if fraction else whole)
+    return ("-" if numerator < 0 else "") + (f"{whole}.{fraction}" if fraction else whole)
 
 
-def rational_string(value) -> str:
-    """str(value) of an int or Fraction, also past the 4300 digits that str()
-    of an int allows: Decimal(n) is exact and str() of a Decimal has no limit."""
+def rational_string(numerator: int, denominator: int = 1) -> str:
+    """numerator/denominator in lowest terms by one gcd, printed as str() of a
+    Fraction prints it ("p/q", or "p" when q is 1), also past the 4300 digits
+    that str() of an int allows: Decimal(n) is exact and has no limit."""
+    g = math.gcd(numerator, denominator)
+    p, q = numerator // g, denominator // g
     try:
-        return str(value)
+        return str(p) if q == 1 else f"{p}/{q}"
     except ValueError:  # an int with more digits than str() converts
-        text = str(Decimal(value.numerator))
-        return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
+        return str(Decimal(p)) if q == 1 else f"{Decimal(p)}/{Decimal(q)}"

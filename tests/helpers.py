@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -26,8 +27,16 @@ def pi_angle(ctx: PrecisionContext, numerator: int, denominator: int) -> Decimal
         return _pi_at(ctx.working_prec) * numerator / denominator
 
 
+def integer_form(c_oct, c_tet, remainder, den: int = 1) -> tuple[int, int, int, int]:
+    """(a, b, r, d): rational components and a denominator as the ints that
+    numerics evaluates, (a*v_oct + b*v_tet + r)/d."""
+    parts = [Fraction(x) for x in (c_oct, c_tet, remainder)]
+    common = math.lcm(*(x.denominator for x in parts))
+    return (*(x.numerator * (common // x.denominator) for x in parts), den * common)
+
+
 def remainder_decimal_string(volume: ExactVolume) -> str:
-    text = exact_decimal_string(volume.remainder)
+    text = exact_decimal_string(volume.rem, volume.den)
     if text is None:
         raise CatalogError(f"remainder {volume.remainder} has no finite decimal form")
     return text

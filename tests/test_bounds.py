@@ -25,6 +25,7 @@ from fal_spectrum import (
     self_sum,
 )
 from fal_spectrum import calculus, numerics
+from fal_spectrum.catalog import load_catalog_file
 from fal_spectrum.numerics import PrecisionContext, round_to, ten_v_tet, two_v_oct, v_oct
 from helpers import PROBE_TET, make_link
 from oracles import count_scan_rows
@@ -304,13 +305,33 @@ def test_scan_refusal_is_prompt_and_builds_no_row(ctx, monkeypatch):
     # about 1.07e10 multisets fit the budget; only cap+1 may be walked
     cat = Catalog([make_link("A", c_oct=3, a=2), make_link("B", c_tet=9, a=2)])
     evaluated = []
-    # spectrum_scan imports densities from calculus when it runs
-    monkeypatch.setattr(calculus, "densities", lambda c, ctx: evaluated.append(c))
+    # spectrum_scan evaluates each row by calculus._density_pair, read when it runs
+    monkeypatch.setattr(calculus, "_density_pair", lambda volume, atilde, ctx: evaluated.append(volume))
     started = time.perf_counter()
     with pytest.raises(CapExceededError, match="more than 100000 rows"):
         spectrum_scan(cat, 4000, ctx)
     assert time.perf_counter() - started < 2.0
     assert evaluated == []
+
+
+def test_a_scan_builds_no_fraction_per_row(ctx, monkeypatch):
+    # 1090 golden rows at budget 12 and 9279 at budget 20: the Fractions a scan
+    # builds must not grow with its rows
+    golden = load_catalog_file(Path(__file__).parent / "golden" / "catalog.json")
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    counts = {}
+    for budget in (12, 20):
+        built.clear()
+        counts[budget] = len(spectrum_scan(golden, budget, ctx)), len(built)
+    assert counts[12][0] < counts[20][0]
+    assert counts[12][1] == counts[20][1]
 
 
 def _voct_truncated(places: int) -> tuple[Fraction, mpmath.mpf]:

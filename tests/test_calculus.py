@@ -1,5 +1,7 @@
 """Value-level monoid laws of the belted sum and the density identities."""
 
+import math
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from fal_spectrum import (
     Catalog,
     DomainError,
+    ExactVolume,
     belted_sum,
     composition,
     format_recipe,
@@ -16,6 +19,7 @@ from fal_spectrum import (
     replicate,
     replication_error,
     self_sum,
+    spectrum_scan,
     vd,
     vd_mod,
     volume,
@@ -211,6 +215,64 @@ def test_replicate_scales_counts(c, m):
     expanded = replicate(c, m)
     assert expanded.atilde == m * c.atilde
     assert volume(expanded) == volume(c) * m
+
+
+# ---------------------------------------------------------------------------
+# the int representation against plain Fraction sums
+
+_p_over_q = st.builds("{}/{}".format, st.integers(0, 40), st.integers(1, 12))
+_link_fields = st.tuples(_p_over_q, _p_over_q, _remainders, st.integers(2, 4)).filter(
+    lambda f: Fraction(f[0]) or Fraction(f[1]) or Decimal(f[2])
+)
+
+
+def _fraction_volume(fields):
+    """(c_oct, c_tet, remainder) of an entry, read by the test from its strings."""
+    c_oct, c_tet, remainder, _ = fields
+    return Fraction(c_oct), Fraction(c_tet), Fraction(Decimal(remainder))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_link_fields, min_size=1, max_size=3), st.lists(st.integers(0, 2), min_size=3, max_size=3))
+def test_int_totals_are_the_fraction_sums(ctx, entries, counts):
+    fields = {f"R{i}": entry for i, entry in enumerate(entries)}
+    catalog = Catalog([make_link(name, *entry[:3], a=entry[3]) for name, entry in fields.items()])
+    for name, entry in fields.items():
+        volume = catalog[name].volume
+        assert volume.components() == _fraction_volume(entry)
+    parts = [(catalog[name], k) for name, k in zip(fields, counts) if k] or [(catalog["R0"], 1)]
+    c = composition(parts)
+    # every row of the scan up to c's budget, c's own among them, against Fraction sums
+    rows = spectrum_scan(catalog, c.atilde, ctx)
+    assert format_recipe(c) in {row.recipe for row in rows}
+    for row in rows:
+        totals, atilde = [Fraction(0)] * 3, 0
+        for token in row.recipe.split(","):
+            name, _, k = token.partition("*")
+            k = int(k or 1)
+            entry = fields.get(name)
+            parts_volume = _fraction_volume(entry) if entry else (Fraction(2), Fraction(0), Fraction(0))  # L41
+            totals = [t + k * x for t, x in zip(totals, parts_volume)]
+            atilde += k * ((entry[3] if entry else 2) - 1)
+        volume = row.vd.numerator
+        assert (row.atilde, row.vd.denominator, row.vd_mod.denominator) == (atilde, atilde + 1, atilde)
+        assert math.gcd(volume.oct, volume.tet, volume.rem, volume.den) == 1 and volume.den > 0
+        assert [Fraction(n, volume.den) for n in (volume.oct, volume.tet, volume.rem)] == totals
+        assert row.vd.exact_parts() == tuple(t / (atilde + 1) for t in totals)
+        assert row.vd_mod.exact_parts() == tuple(t / atilde for t in totals)
+        twin = ExactVolume(*totals)
+        assert volume == twin and hash(volume) == hash(twin)
+        assert pickle.loads(pickle.dumps(volume)) == volume
+    assert c.volume == next(row.vd.numerator for row in rows if row.recipe == format_recipe(c))
+
+
+def test_equal_volumes_hold_equal_ints():
+    half, quarters = ExactVolume("1/2"), ExactVolume("2/4")
+    assert half == quarters and hash(half) == hash(quarters)
+    assert (quarters.oct, quarters.tet, quarters.rem, quarters.den) == (1, 0, 0, 2)
+    twin = pickle.loads(pickle.dumps(quarters))
+    assert twin == half and hash(twin) == hash(half)
+    assert ExactVolume("1/3", "1/6", "0.25") == ExactVolume(Fraction(4, 12), "2/12", Fraction(1, 4))
 
 
 # ---------------------------------------------------------------------------

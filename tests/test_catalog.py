@@ -110,10 +110,19 @@ def test_duplicate_names_rejected(build):
         build([{"name": "B", "a": 2, "c_oct": "2"}, {"name": "B", "a": 3, "c_oct": "4"}])
 
 
-@pytest.mark.parametrize("item", ["L41", None, {"name": "B", "a": 2, "c_oct": "2"}])
-def test_catalog_refuses_what_is_not_a_link(item):
-    with pytest.raises(CatalogError, match=f"^catalog links must be BaseLink, got {type(item).__name__}$"):
-        Catalog([make_link("B", c_oct=2), item])
+@pytest.mark.parametrize(
+    "links, refused",
+    [  # a bad item among the links (ids as before), then links that are not iterable
+        pytest.param([make_link("B", c_oct=2), "L41"], "BaseLink, got str", id="L41"),
+        pytest.param([make_link("B", c_oct=2), None], "BaseLink, got NoneType", id="None"),
+        pytest.param([make_link("B", c_oct=2), {"name": "B", "a": 2, "c_oct": "2"}], "BaseLink, got dict", id="item2"),
+        pytest.param(5, "an iterable of BaseLink, got int", id="int-links"),
+        pytest.param(None, "an iterable of BaseLink, got NoneType", id="None-links"),
+    ],
+)
+def test_catalog_refuses_what_is_not_a_link(links, refused):
+    with pytest.raises(CatalogError, match=f"^catalog links must be {refused}$"):
+        Catalog(links)
 
 
 @pytest.mark.parametrize("text", ["", "{", "[]", '{"links": 3}', "null"])

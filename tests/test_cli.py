@@ -277,6 +277,16 @@ def test_catalog_integer_past_the_str_digit_limit_is_one_error_line(tmp_path):
     assert proc.stderr == "error: malformed catalog JSON: a number has too many digits\n"
 
 
+@pytest.mark.parametrize("field, limit", [("c_oct", 120), ("remainder", 120), ("a", 130)])
+def test_a_long_bad_value_is_quoted_in_part(capsys, tmp_path, field, limit):
+    path = tmp_path / "links.json"
+    path.write_text(json.dumps({"links": [{"name": "X", "a": 2, field: "x" * 5000}]}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error: links[0]: ") and len(err) < limit
+    assert err.endswith(f"{'x' * 40!r}… (5000 characters)\n")
+
+
 def test_validate_decides_each_warning_exactly(capsys, tmp_path):
     # vd of "Top" lies 1e-27*v_tet/2 below 10*v_tet and vd of "Thin" 1e-30*v_oct/2
     # below v_oct: both closer than the tolerance, so only exact signs tell

@@ -35,7 +35,7 @@ from fal_spectrum.numerics import (
     v_oct,
     v_tet,
 )
-from helpers import PROBE_TET, pi_angle
+from helpers import PROBE_TET, integer_form, pi_angle
 from oracles import (
     closed_form_constants,
     lobachevsky_quadrature,
@@ -351,7 +351,7 @@ def test_correctly_rounded_retries_near_a_tie(reference):
     tie = Context(prec=20, rounding=ROUND_DOWN).plus(voct) + Decimal("5e-20")
     r = _WIDE.subtract(tie, Context(prec=61, rounding=ROUND_DOWN).plus(voct))
     numerics.clear_caches()
-    got = numerics.correctly_rounded(1, 0, Fraction(r), 1, PrecisionContext(20))
+    got = numerics.correctly_rounded(*integer_form(1, 0, r), PrecisionContext(20))
     assert got == _correctly_rounded(_WIDE.add(voct, r), 20) == tie.next_plus(Context(prec=20))
     assert numerics._enclosures.cache_info().misses > 1
 
@@ -405,7 +405,7 @@ def _finite_decimal_denominator(den: int) -> bool:
 )
 def test_exact_decimal_string_is_exact_and_minimal(numerator, twos, fives, other):
     value = Fraction(numerator, 2**twos * 5**fives * other)
-    text = numerics.exact_decimal_string(value)
+    text = numerics.exact_decimal_string(numerator, 2**twos * 5**fives * other)  # not reduced
     if not _finite_decimal_denominator(value.denominator):
         assert text is None
         return
@@ -414,10 +414,10 @@ def test_exact_decimal_string_is_exact_and_minimal(numerator, twos, fives, other
 
 
 def test_exact_decimal_string_of_long_denominators():
-    assert numerics.exact_decimal_string(Fraction(-3, 10**9000)) == "-0." + "0" * 8999 + "3"
-    assert numerics.exact_decimal_string(Fraction(1, 2**50)) == "0." + str(5**50).rjust(50, "0")
-    assert numerics.exact_decimal_string(Fraction(7 * 10**5000)) == "7" + "0" * 5000
-    assert numerics.exact_decimal_string(Fraction(1, 3 * 10**9000)) is None
+    assert numerics.exact_decimal_string(-3, 10**9000) == "-0." + "0" * 8999 + "3"
+    assert numerics.exact_decimal_string(1, 2**50) == "0." + str(5**50).rjust(50, "0")
+    assert numerics.exact_decimal_string(7 * 10**5000, 1) == "7" + "0" * 5000
+    assert numerics.exact_decimal_string(1, 3 * 10**9000) is None
 
 
 @pytest.mark.parametrize("digits", [20, 30, 60, 150, 300])

@@ -20,6 +20,7 @@ import pytest
 
 from fal_spectrum import bounds, calculus, catalog, numerics
 from fal_spectrum.numerics import PrecisionContext
+from helpers import integer_form
 
 REFERENCE_DIGITS = 60
 SLACK = Decimal("1e-50")  # relative to the value
@@ -83,9 +84,9 @@ def test_golden_scan_volumes_are_correctly_rounded(golden, constants, digits):
     # the volume_decimal and vol_decimal columns of catalog list and density
     ctx = PrecisionContext(digits)
     printed = (
-        (row.recipe, "volume", parts, 1, digits, str(numerics.correctly_rounded(*parts, 1, ctx)))
+        (row.recipe, "volume", v.components(), 1, digits, str(numerics.correctly_rounded(v.oct, v.tet, v.rem, v.den, ctx)))
         for row in bounds.spectrum_scan(golden, 18, ctx)
-        for parts in [row.vd.numerator.components()]
+        for v in [row.vd.numerator]
     )
     assert _misrounded(printed, constants) == []
 
@@ -113,7 +114,7 @@ def test_golden_scan_sample_is_correctly_rounded_at_22_to_40_digits(golden, cons
 @pytest.mark.parametrize("digits", [20, 33, 47])
 def test_evaluator_matches_mpmath(constants, parts, den, digits):
     expected = _correctly_rounded(_reference([Fraction(x) for x in parts], den, constants), digits)
-    got = numerics.correctly_rounded(*parts, den, PrecisionContext(digits))
+    got = numerics.correctly_rounded(*integer_form(*parts, den), PrecisionContext(digits))
     assert str(got) == str(expected)
 
 
@@ -127,7 +128,7 @@ def test_evaluator_matches_mpmath(constants, parts, den, digits):
     ],
 )
 def test_exact_rationals_keep_every_digit(remainder, den, text):
-    assert str(numerics.correctly_rounded(0, 0, remainder, den, PrecisionContext(20))) == text
+    assert str(numerics.correctly_rounded(*integer_form(0, 0, remainder, den), PrecisionContext(20))) == text
 
 
 def test_ziv_loop_settles_a_value_just_past_a_midpoint(monkeypatch):
@@ -142,5 +143,5 @@ def test_ziv_loop_settles_a_value_just_past_a_midpoint(monkeypatch):
 
     monkeypatch.setattr(numerics, "_settle", counted)
     value = Fraction("1.00000000000000000005") + Fraction(1, 10**40)
-    assert str(numerics.correctly_rounded(0, 0, value, 1, PrecisionContext(20))) == "1.0000000000000000001"
+    assert str(numerics.correctly_rounded(*integer_form(0, 0, value), PrecisionContext(20))) == "1.0000000000000000001"
     assert settled[0] is None and len(settled) > 1
