@@ -83,7 +83,7 @@ class ExactVolume(Frozen):
 
     def components(self) -> tuple[Fraction, Fraction, Fraction]:
         if self._parts is None:  # made once per volume
-            object.__setattr__(self, "_parts", tuple(Fraction(n, self.den) for n in (self.oct, self.tet, self.rem)))
+            object.__setattr__(self, "_parts", tuple(Fraction(n, self.den) for n in self._key()[:3]))
         return self._parts
 
     c_oct = property(lambda self: self.components()[0])
@@ -115,7 +115,7 @@ class BaseLink(Frozen):
 
     def __init__(self, name: str, volume: ExactVolume, augmentations: int, note: str = "") -> None:
         if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
-            raise CatalogError(f"link name must be an identifier, got {name!r}")
+            raise CatalogError(f"link name must be an identifier, got {numerics._shown(name)}")
         _parsed(numerics.parse_count, augmentations, f"{name}: augmentation count", 2)
         if not isinstance(volume, ExactVolume):
             raise CatalogError(f"{name}: volume must be an ExactVolume")
@@ -183,7 +183,7 @@ class Catalog(Frozen):
             return self._by_name[name]
         except KeyError:
             known = ", ".join(link.name for link in self.links)
-            raise CatalogError(f"unknown link {name!r} (catalog has: {known})") from None
+            raise CatalogError(f"unknown link {numerics._shown(name)} (catalog has: {known})") from None
 
 
 _ENTRY_FIELDS = {"name", "c_oct", "c_tet", "remainder", "a", "note"}

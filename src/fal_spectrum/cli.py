@@ -33,9 +33,9 @@ def _decimal_arg(text: str) -> Decimal:
     try:
         value = Decimal(text)
     except InvalidOperation:
-        raise argparse.ArgumentTypeError(f"not a decimal number: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not a decimal number: {numerics._shown(text)}") from None
     if not value.is_finite():
-        raise argparse.ArgumentTypeError(f"not a finite decimal: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a finite decimal: {numerics._shown(text)}")
     return value
 
 
@@ -43,7 +43,7 @@ def _int_arg(text: str) -> int:
     """An optional ``-`` and ASCII digits, like a recipe multiplicity; the library checks the range."""
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        raise argparse.ArgumentTypeError(f"not an integer: {numerics._shown(text)}")
     try:
         return int(text)
     except ValueError:  # past int()'s limit on digits

@@ -277,14 +277,30 @@ def test_catalog_integer_past_the_str_digit_limit_is_one_error_line(tmp_path):
     assert proc.stderr == "error: malformed catalog JSON: a number has too many digits\n"
 
 
-@pytest.mark.parametrize("field, limit", [("c_oct", 120), ("remainder", 120), ("a", 130)])
+@pytest.mark.parametrize("field, limit", [("c_oct", 120), ("remainder", 120), ("a", 130), ("name", 120)])
 def test_a_long_bad_value_is_quoted_in_part(capsys, tmp_path, field, limit):
     path = tmp_path / "links.json"
-    path.write_text(json.dumps({"links": [{"name": "X", "a": 2, field: "x" * 5000}]}), encoding="utf-8")
+    entry = {"name": "X", "a": 2, field: "x" * 4999 + "!"}
+    path.write_text(json.dumps({"links": [entry]}), encoding="utf-8")
     code, out, err = run_cli(capsys, "validate", str(path))
     assert (code, out) == (1, "")
     assert err.count("\n") == 1 and err.startswith("error: links[0]: ") and len(err) < limit
     assert err.endswith(f"{'x' * 40!r}… (5000 characters)\n")
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["density", "--recipe", "x" * 5000], 1),  # unknown link
+        (["classify", "--density", "x" * 5000], 2),
+        (["bounds", "--a", "x" * 5000], 2),
+    ],
+    ids=["unknown-link", "decimal-option", "integer-option"],
+)
+def test_a_long_bad_argument_is_quoted_in_part(capsys, argv, exit_code):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (exit_code, "")
+    assert re.search(r"'.{40}'… \(\d+ characters\)", err) and len(err) < 1000
 
 
 def test_validate_decides_each_warning_exactly(capsys, tmp_path):
