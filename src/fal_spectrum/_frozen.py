@@ -4,9 +4,10 @@
 class Frozen:
     """An immutable value whose fields are its ``__slots__``.
 
-    The constructor takes one value per slot, positionally in slot order,
-    and raises TypeError on any other count; a subclass that checks its
-    arguments passes them on with ``super().__init__``.  Assigning or
+    The constructor stores one value per slot, positionally in slot order,
+    through the slot's descriptor (collected once per class), and raises
+    TypeError on any other count; a subclass that checks its arguments
+    passes them on with ``super().__init__``.  Assigning or
     deleting a field raises AttributeError.  ``repr``, ``_key`` (unless a
     subclass narrows it), copying and pickling read ``_fields()``, the
     slots without a leading underscore unless a subclass names others, and
@@ -17,11 +18,15 @@ class Frozen:
 
     __slots__ = ()
 
+    def __init_subclass__(cls) -> None:
+        cls._stores = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
     def __init__(self, *values) -> None:
-        if len(values) != len(self.__slots__):
+        stores = self._stores
+        if len(values) != len(stores):
             raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}, got {len(values)} values")
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        for store, value in zip(stores, values):
+            store(self, value)
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields()])

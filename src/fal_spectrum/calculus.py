@@ -121,7 +121,7 @@ def exact_combo_string(oct: int, tet: int, rem: int, den: int, ctx: PrecisionCon
     exact when it has a finite decimal form and correctly rounded otherwise."""
     text = numerics.exact_decimal_string(rem, den)
     if text is None:
-        text = str(numerics.correctly_rounded(0, 0, rem, den, ctx))
+        text = str(numerics._quotient(rem, den, ctx.digits))
     return f"{numerics.rational_string(oct, den)}*voct+{numerics.rational_string(tet, den)}*vtet+{text}"
 
 
@@ -141,12 +141,10 @@ def densities(c: Composition, ctx: PrecisionContext) -> tuple[DensityValue, Dens
 
 
 def _density_pair(volume: ExactVolume, atilde: int, ctx: PrecisionContext) -> tuple[DensityValue, DensityValue]:
-    """(vol/(atilde+1), vol/atilde), each correctly rounded from the volume's ints."""
-    oct, tet, rem, den = volume.oct, volume.tet, volume.rem, volume.den
-    return (
-        DensityValue(volume, atilde + 1, numerics.correctly_rounded(oct, tet, rem, den * (atilde + 1), ctx)),
-        DensityValue(volume, atilde, numerics.correctly_rounded(oct, tet, rem, den * atilde, ctx)),
-    )
+    """(vol/(atilde+1), vol/atilde), each correctly rounded from one enclosure of the volume's ints."""
+    den = volume.den
+    vd, vd_mod = numerics.rounded_over(volume.oct, volume.tet, volume.rem, (den * (atilde + 1), den * atilde), ctx)
+    return DensityValue(volume, atilde + 1, vd), DensityValue(volume, atilde, vd_mod)
 
 
 def replication_error(c: Composition, m: int, ctx: PrecisionContext) -> Decimal:
@@ -164,16 +162,16 @@ def parse_recipe(text: str, catalog: Catalog) -> Composition:
     for raw in text.split(","):
         token = raw.strip()
         if not token:
-            raise DomainError(f"empty part in recipe {text!r}")
+            raise DomainError(f"empty part in recipe {numerics._shown(text)}")
         name, star, mult_text = token.partition("*")
         name = name.strip()
         mult_text = mult_text.strip()
         if star and not (mult_text.isascii() and mult_text.isdigit()):
-            raise DomainError(f"bad multiplicity in recipe part {token!r}")
+            raise DomainError(f"bad multiplicity in recipe part {numerics._shown(token)}")
         try:
             multiplicity = int(mult_text) if star else 1
         except ValueError:  # more digits than int() converts
-            raise DomainError(f"bad multiplicity in recipe part {token!r}") from None
+            raise DomainError(f"bad multiplicity in recipe part {numerics._shown(token)}") from None
         parts.append((catalog[name], multiplicity))
     return composition(parts)
 

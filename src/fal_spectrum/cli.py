@@ -16,6 +16,7 @@ read layer functions as module attributes at call time.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import sys
 from decimal import Decimal, InvalidOperation
@@ -50,6 +51,7 @@ def _int_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"too many digits: {len(digits)}") from None
 
 
+@functools.cache  # parse_args leaves the parser as it is, so one serves every run in a process
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -129,11 +131,19 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # rendering
 
+def _json_objects(header, rows, pad: str = "") -> list[str]:
+    """json.dumps(dict(zip(header, row)), indent=2) of each row (distinct str keys, str values), nested
+    ``pad`` deep, by json's C string encoder: with an indent, json.dumps runs its pure-Python encoder."""
+    from json.encoder import encode_basestring_ascii as quote
+
+    keys = [f"{pad}  {quote(key)}: " for key in header]
+    bodies = (",\n".join([key + quote(cell) for key, cell in zip(keys, row)]) for row in rows)
+    return [f"{{\n{body}\n{pad}}}" if body else "{}" for body in bodies]
+
+
 def _render_kv(pairs: list[tuple[str, str]], fmt: str) -> str:
     if fmt == "json":
-        import json
-
-        return json.dumps(dict(pairs), indent=2) + "\n"
+        return _json_objects([key for key, _ in pairs], [[value for _, value in pairs]])[0] + "\n"
     if fmt == "csv":
         return _render_rows(["key", "value"], pairs, fmt)
     width = max(len(key) for key, _ in pairs)
@@ -142,9 +152,7 @@ def _render_kv(pairs: list[tuple[str, str]], fmt: str) -> str:
 
 def _render_rows(header: list[str], rows: list[list[str]], fmt: str) -> str:
     if fmt == "json":
-        import json
-
-        return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+        return "[\n  " + ",\n  ".join(_json_objects(header, rows, "  ")) + "\n]\n" if rows else "[]\n"
     if fmt == "csv":
         import csv
 

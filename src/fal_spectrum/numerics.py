@@ -60,14 +60,15 @@ on them.
 
 Every printed decimal is a value (a*v_oct + b*v_tet + r)/den with ints a,
 b, r and a positive int den (a caller holding rationals puts them over one
-denominator first), and its one evaluator, ``correctly_rounded``, encloses
-it between integers from the constants' enclosures and settles it by Ziv's
-test: the correctly rounded value with exactly ``digits`` significant
-digits.  Every window decision is the sign of such a value, which ``sign``
-proves by doubling the guard digits until
-the enclosure excludes 0; a value not separated at the scale 2*MAX_DIGITS
-counts as 0 at every precision, since whether 1, G and Cl_2(pi/3) are
-independent over Q is open.  The enclosure cache is safe for concurrent readers.
+denominator first), and its one evaluator, ``rounded_over``, encloses the
+numerator once between integers from the constants' enclosures and settles
+it over each den by Ziv's test (a rational is one decimal division): the
+correctly rounded value with exactly ``digits`` significant digits.  Every
+window decision is the sign of such a value, which ``sign`` proves by
+doubling the guard digits until the enclosure excludes 0; a value not
+separated at the scale 2*MAX_DIGITS counts as 0 at every precision, since
+whether 1, G and Cl_2(pi/3) are independent over Q is open.  The enclosure
+cache is safe for concurrent readers.
 
 Every number and count a caller passes in enters through ``parse_decimal``,
 ``parse_rational`` or ``parse_count``: no floats or bools, only finite
@@ -91,8 +92,8 @@ __all__ = [
     "DEFAULT_DIGITS", "GUARD_DIGITS", "MAX_DIGITS", "MAX_EXPONENT", "MIN_DIGITS",
     "PrecisionContext", "combination", "correctly_rounded", "exact_decimal_string",
     "floor_quotient", "fraction_to_decimal", "lobachevsky", "parse_count", "parse_decimal",
-    "parse_rational", "pi", "rational_string", "round_to", "sign", "ten_v_tet", "two_v_oct",
-    "v_oct", "v_tet",
+    "parse_rational", "pi", "rational_string", "round_to", "rounded_over", "sign", "ten_v_tet",
+    "two_v_oct", "v_oct", "v_tet",
 ]
 
 DEFAULT_DIGITS = 30
@@ -111,6 +112,7 @@ _ZETA2_UPPER = Decimal("1.645")
 # converted for every Lambda term costs time quadratic in its length) and
 # shifts fixed-point integers to their exact decimal values.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_PADDING = Decimal("0E-999999")  # the least exponent of a _context
 
 
 class PrecisionContext(Frozen):
@@ -267,8 +269,8 @@ def _pi_scaled(frac: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _enclosures(frac: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """((lo, hi), (lo, hi)) enclosing v_oct*10**frac and v_tet*10**frac."""
+def _enclosures(frac: int) -> tuple[tuple[int, int], tuple[int, int], int]:
+    """((lo, hi), (lo, hi), 10**frac): v_oct*10**frac and v_tet*10**frac enclosed, and the scale."""
     scale = 10**frac
     # 16*v_oct: summands P_n = h_n*c_n/d_n from P_1 = 608/9
     term = total = 608 * scale // 9
@@ -300,14 +302,14 @@ def _enclosures(frac: int) -> tuple[tuple[int, int], tuple[int, int]]:
         (sigma3 - err) * scale // (2 * (pi_value + pi_err)),
         -(-(sigma3 + err) * scale // (2 * (pi_value - pi_err))),
     )
-    return voct, vtet
+    return voct, vtet, scale
 
 
 def _settle(lo: int, hi: int, frac: int, context: Context) -> Decimal | None:
-    """What every number in [lo, hi]*10**-frac rounds to under ``context``,
-    or None when the interval straddles a rounding boundary."""
-    value = context.plus(_EXACT.scaleb(lo, -frac))
-    return value if context.plus(_EXACT.scaleb(hi, -frac)) == value else None
+    """What every number in [lo, hi]*10**-frac rounds to under ``context``
+    (scaleb rounds), or None when the interval straddles a rounding boundary."""
+    value = context.scaleb(lo, -frac)
+    return value if context.scaleb(hi, -frac) == value else None
 
 
 # ---------------------------------------------------------------------------
@@ -386,34 +388,47 @@ def _integers(c_oct, c_tet, remainder) -> tuple[int, int, int, int]:
 
 def _enclose(a: int, b: int, r: int, frac: int) -> tuple[int, int]:
     """(low, high) enclosing (a*v_oct + b*v_tet + r)*10**frac for ints a, b, r."""
-    low = high = r * 10**frac
-    if a or b:  # each constant's end picked by its coefficient's sign
-        (o_lo, o_hi), (t_lo, t_hi) = _enclosures(frac)
-        low += a * (o_lo if a > 0 else o_hi) + b * (t_lo if b > 0 else t_hi)
-        high += a * (o_hi if a > 0 else o_lo) + b * (t_hi if b > 0 else t_lo)
-    return low, high
+    if not (a or b):
+        low = r * 10**frac
+        return low, low
+    (o_lo, o_hi), (t_lo, t_hi), scale = _enclosures(frac)  # each end picked by its coefficient's sign
+    low = r * scale + a * (o_lo if a > 0 else o_hi) + b * (t_lo if b > 0 else t_hi)
+    return low, r * scale + a * (o_hi if a > 0 else o_lo) + b * (t_hi if b > 0 else t_lo)
+
+
+def _quotient(r: int, den: int, digits: int) -> Decimal:
+    """r/den by one decimal division, which rounds correctly; adding 0E-999999 pads an exact quotient."""
+    context = _context(digits)
+    return context.add(context.divide(r, den), _PADDING) if r else Decimal(0)
+
+
+def rounded_over(a: int, b: int, r: int, dens, ctx: PrecisionContext) -> list[Decimal]:
+    """[(a*v_oct + b*v_tet + r)/den for den in dens], signed ints a, b, r, each correctly rounded to
+    ``ctx.digits`` significant digits, all kept, from one enclosure (a den it leaves unsettled redoes it
+    with more guard digits alone); an exact zero has none and is Decimal(0), printed "0"."""
+    digits = ctx.digits
+    if not (a or b):
+        return [_quotient(r, den, digits) for den in dens]
+    final, working = _context(digits), ctx.working_prec
+    low, high = _enclose(a, b, r, working + _GUARD)
+    size = (4 * abs(a) + abs(b) + abs(r)).bit_length()
+    values = []
+    for den in dens:
+        # v_oct < 4 and v_tet < 2 put the value near 10**shift (log10(2) = 0.30103), so
+        # the sum at scale working + guard over 10**shift keeps about that many digits
+        shift = (size - den.bit_length()) * 30103 // 100000
+        up, down = (1, den * 10**shift) if shift > 0 else (10**-shift, den)
+        guard, lo, hi = _GUARD, low, high
+        while (value := _settle(lo * up // down, -(-hi * up // down), working + guard - shift, final)) is None:
+            guard *= 2
+            lo, hi = _enclose(a, b, r, working + guard)
+        values.append(value)
+    return values
 
 
 def correctly_rounded(a: int, b: int, r: int, den: int, ctx: PrecisionContext) -> Decimal:
-    """(a*v_oct + b*v_tet + r)/den correctly rounded to ``ctx.digits``
-    significant digits, all of them kept, for signed ints a, b, r and a
-    positive int den.  An exact zero (a = b = r = 0) has no significant
-    digits and is Decimal(0), printed "0", at every precision."""
-    if not (a or b or r):
-        return Decimal(0)
-    # v_oct < 4 and v_tet < 2 put the value near 10**shift (log10(2) = 0.30103),
-    # so the sum at scale frac over 10**shift keeps about working_prec + guard digits
-    shift = ((4 * abs(a) + abs(b) + abs(r)).bit_length() - den.bit_length()) * 30103 // 100000
-    up, down = (1, den * 10**shift) if shift > 0 else (10**-shift, den)
-    final = _context(ctx.digits)
-    guard = _GUARD
-    while True:
-        frac = ctx.working_prec + guard
-        low, high = _enclose(a, b, r, frac)
-        value = _settle(low * up // down, -(-high * up // down), frac - shift, final)
-        if value is not None:
-            return value
-        guard *= 2
+    """(a*v_oct + b*v_tet + r)/den as ``rounded_over`` rounds it."""
+    return rounded_over(a, b, r, (den,), ctx)[0]
 
 
 def sign(a: int, b: int, r: int, ctx: PrecisionContext) -> int:

@@ -13,18 +13,22 @@ lazy integer one.  The volume
 fold is the package's former per-query walk over a composition's parts,
 kept to check the totals composition() fixes at construction.  The
 weighted average recomputes vd_mod per part, and the row counter counts
-scan rows by a knapsack table instead of walking the multisets.
+scan rows by a knapsack table instead of walking the multisets.  The
+settled rounding is the package's former evaluator, one value at a time
+by integer floor and ceiling divisions and Ziv's loop, rationals
+included, kept to check the shared enclosure and the decimal division.
 """
 
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 from math import comb
 
 import mpmath
 
 from fal_spectrum import Composition, DensityValue, DomainError, ExactVolume
+from fal_spectrum import numerics
 from fal_spectrum.numerics import PrecisionContext, round_to
 
 
@@ -183,3 +187,28 @@ def count_scan_rows(atildes, budget: int) -> int:
         for total in range(step, budget + 1):
             ways[total] += ways[total - step]
     return sum(ways) - 1
+
+
+def settled_rounding(a: int, b: int, r: int, den: int, digits: int) -> Decimal:
+    """(a*v_oct + b*v_tet + r)/den correctly rounded to ``digits`` significant
+    digits, all kept, for each value alone: both ends of its integer
+    enclosure at scale 10**(frac - shift) must round alike, otherwise the
+    enclosure is redone with twice the guard digits.  An exact zero is
+    Decimal(0)."""
+    if not (a or b or r):
+        return Decimal(0)
+    shift = ((4 * abs(a) + abs(b) + abs(r)).bit_length() - den.bit_length()) * 30103 // 100000
+    up, down = (1, den * 10**shift) if shift > 0 else (10**-shift, den)
+    final, exact = Context(prec=digits), numerics._EXACT
+    guard = 10
+    while True:
+        frac = digits + numerics.GUARD_DIGITS + guard
+        low = high = r * 10**frac
+        if a or b:
+            (o_lo, o_hi), (t_lo, t_hi), _ = numerics._enclosures(frac)
+            low += a * (o_lo if a > 0 else o_hi) + b * (t_lo if b > 0 else t_hi)
+            high += a * (o_hi if a > 0 else o_lo) + b * (t_hi if b > 0 else t_lo)
+        value = final.plus(exact.scaleb(low * up // down, shift - frac))
+        if final.plus(exact.scaleb(-(-high * up // down), shift - frac)) == value:
+            return value
+        guard *= 2

@@ -10,6 +10,7 @@ from decimal import Decimal
 
 import pytest
 
+from fal_spectrum import cli
 from fal_spectrum.cli import main
 from fal_spectrum.numerics import PrecisionContext, v_oct
 
@@ -175,7 +176,17 @@ def test_recipe_multiplicity_must_be_ascii_digits(capsys, recipe):
     code, out, err = run_cli(capsys, "density", "--recipe", recipe)
     assert code == 1
     assert out == ""
-    assert err == f"error: bad multiplicity in recipe part {recipe!r}\n"
+    shown = repr(recipe) if len(recipe) <= 40 else f"{recipe[:40]!r}… ({len(recipe)} characters)"
+    assert err == f"error: bad multiplicity in recipe part {shown}\n"
+
+
+@pytest.mark.parametrize("recipe,shown", [
+    ("L41,,L41", "'L41,,L41'"),
+    ("L41," + " " * 3000, f"{'L41,' + ' ' * 36!r}… (3004 characters)"),  # the refusal quotes 40 of them
+])
+def test_an_empty_recipe_part_is_refused_with_the_recipe_quoted(capsys, recipe, shown):
+    code, out, err = run_cli(capsys, "density", "--recipe", recipe)
+    assert (code, out, err) == (1, "", f"error: empty part in recipe {shown}\n")
 
 
 # Exact integers longer than the 4300 digits str() of an int allows print in full.
@@ -532,3 +543,34 @@ def test_machine_formats_carry_all_density_numbers(capsys):
     _, table, _ = run_cli(capsys, "density", "--recipe", "L41*5")
     _, as_json, _ = run_cli(capsys, "density", "--recipe", "L41*5", "--format", "json")
     assert json.loads(as_json) == kv_from_table(table)
+
+
+_AWKWARD = ['say "hi"', "back\\slash", "tab\tnl\ncr\rnul\x00us\x1f", "déjà ☃ \U0001f600", ""]
+
+
+@pytest.mark.parametrize("rows", [[], [_AWKWARD], [_AWKWARD[::-1], ["x"] * 5]])
+def test_json_rows_are_the_bytes_of_json_dumps(rows):
+    header = ["plain", "quo\"te", "back\\", "\x07bell", "ünï"]
+    expected = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    assert cli._render_rows(header, rows, "json") == expected
+
+
+def test_json_key_values_are_the_bytes_of_json_dumps():
+    pairs = [(key, value) for key, value in zip(["k\"1", "k\\2", "k\x1b3", "ключ", "k5"], _AWKWARD)]
+    assert cli._render_kv(pairs, "json") == json.dumps(dict(pairs), indent=2) + "\n"
+
+
+def test_one_parser_serves_every_run_in_a_process(capsys, monkeypatch):
+    # the parser is built once per process; a usage error, a scan and --help
+    # through it print what each prints from a fresh process
+    monkeypatch.setenv("COLUMNS", "100")  # argparse wraps help to the terminal width
+    runs = [["scan", "--budget", "x"], ["scan", "--budget", "6", "--format", "json"], ["scan", "--help"]]
+    shared = [run_cli(capsys, *argv) for argv in runs]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = [
+        (proc.returncode, proc.stdout, proc.stderr)
+        for argv in runs
+        for proc in [subprocess.run([sys.executable, "-m", "fal_spectrum", *argv], capture_output=True, text=True)]
+    ]
+    assert [code for code, _, _ in shared] == [2, 0, 0]
+    assert shared == fresh
