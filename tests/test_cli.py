@@ -556,7 +556,7 @@ def test_json_rows_are_the_bytes_of_json_dumps(rows):
 
 
 def test_json_key_values_are_the_bytes_of_json_dumps():
-    pairs = [(key, value) for key, value in zip(["k\"1", "k\\2", "k\x1b3", "ключ", "k5"], _AWKWARD)]
+    pairs = list(zip(["k\"1", "k\\2", "k\x1b3", "ключ", "k5"], _AWKWARD))
     assert cli._render_kv(pairs, "json") == json.dumps(dict(pairs), indent=2) + "\n"
 
 
